@@ -13,17 +13,20 @@
 //   * collectives: CollectiveEngine micro-sweep — one bucket reduced in
 //     isolation per (algorithm, topology, width, wire, chunking) point,
 //     simulated makespan only. This is where the topology-aware
-//     algorithm choice shows up directly: tree/hier vs flat ring on the
-//     shared PCIe channel, chunk pipelining vs whole-bucket waves on
-//     NVLink, and fp16-on-the-wire vs fp32.
+//     algorithm choice shows up directly: tree vs flat ring on the
+//     shared PCIe channel (whole bucket, and a width x bucket-size grid
+//     at default pipelining where auto's dry run must match the faster
+//     of the two), chunk pipelining vs whole-bucket waves on NVLink,
+//     and fp16-on-the-wire vs fp32.
 //
 // Writes the committed BENCH_fleet.json baseline (schema
 // glp4nn-bench-fleet-v2, documented in docs/FLEET.md). The CI perf-smoke
 // floors read it: >=3.0x training throughput at 4 NVLink devices,
 // overlap beating serialize-then-reduce wherever there is communication
-// (devices >= 2), fleet serving >=2x a single device, tree and hier
-// beating flat ring on PCIe at 4 and 8 devices, chunk pipelining beating
-// whole-bucket waves on NVLink, and fp16 wire beating fp32.
+// (devices >= 2), fleet serving >=2x a single device, tree beating flat
+// ring on PCIe at 4 and 8 devices, auto <= min(ring, tree) on every
+// pipelined grid cell, chunk pipelining beating whole-bucket waves on
+// NVLink, and fp16 wire beating fp32.
 //
 // Usage: bench_fleet [--quick] [--out FILE]
 
@@ -190,8 +193,8 @@ ServeRecord serve_point(int devices, int replicas, double rate, int requests) {
 }
 
 struct CollectiveRecord {
-  std::string choice;  ///< requested: auto | ring | tree | hier
-  std::string algo;    ///< algorithm the cost model actually ran
+  std::string choice;  ///< requested: auto | ring | tree
+  std::string algo;    ///< algorithm the engine actually ran
   std::string links;
   int devices = 1;
   std::size_t count = 0;
@@ -371,37 +374,53 @@ int main(int argc, char** argv) {
       serve.push_back(std::move(r));
     }
 
-    // Collective micro-sweep: one 1M-element (4 MB fp32) bucket.
+    // Collective micro-sweep; whole-bucket points use one 1M-element
+    // (4 MB fp32) bucket.
     const std::size_t cnt = std::size_t{1} << 20;
+    const std::size_t default_chunk =
+        comm::CollectiveOptions{}.pipeline_chunk_bytes;
     std::vector<CollectiveRecord> coll;
     auto run_coll = [&](comm::CollectiveChoice choice,
-                        gpusim::LinkTopology topo, int n,
+                        gpusim::LinkTopology topo, int n, std::size_t count,
                         comm::WireFormat wire, std::size_t chunk) {
-      CollectiveRecord r = collective_point(choice, topo, n, cnt, wire, chunk);
+      CollectiveRecord r =
+          collective_point(choice, topo, n, count, wire, chunk);
       std::printf(
-          "coll  %-4s (ran %-4s) %dx%-6s %s chunk %6zu | makespan %8.3f ms "
-          "| %zu transfer(s)\n",
+          "coll  %-4s (ran %-4s) %dx%-6s %7zu %s chunk %6zu | makespan "
+          "%8.3f ms | %zu transfer(s)\n",
           r.choice.c_str(), r.algo.c_str(), r.devices, r.links.c_str(),
-          r.wire.c_str(), r.chunk, r.makespan_ms, r.transfers);
+          r.count, r.wire.c_str(), r.chunk, r.makespan_ms, r.transfers);
       coll.push_back(std::move(r));
     };
+    const auto choices = {comm::CollectiveChoice::kRing,
+                          comm::CollectiveChoice::kTree,
+                          comm::CollectiveChoice::kAuto};
     // Algorithm face-off on the shared PCIe channel (whole bucket).
     for (const int n : {4, 8}) {
-      for (const comm::CollectiveChoice c :
-           {comm::CollectiveChoice::kRing, comm::CollectiveChoice::kTree,
-            comm::CollectiveChoice::kHier, comm::CollectiveChoice::kAuto}) {
-        run_coll(c, gpusim::LinkTopology::kPcieHost, n,
+      for (const comm::CollectiveChoice c : choices) {
+        run_coll(c, gpusim::LinkTopology::kPcieHost, n, cnt,
                  comm::WireFormat::kFp32, 0);
+      }
+    }
+    // Selection grid at default pipelining: widths x bucket sizes (479,808
+    // floats is where pipelined ring beats tree at 4 devices).
+    for (const int n : {4, 6, 8}) {
+      for (const std::size_t count :
+           {std::size_t{64} << 10, std::size_t{479808}, cnt}) {
+        for (const comm::CollectiveChoice c : choices) {
+          run_coll(c, gpusim::LinkTopology::kPcieHost, n, count,
+                   comm::WireFormat::kFp32, default_chunk);
+        }
       }
     }
     // Chunk pipelining vs whole-bucket waves on the NVLink ring.
     for (const std::size_t chunk : {std::size_t{0}, std::size_t{256} << 10}) {
       run_coll(comm::CollectiveChoice::kRing, gpusim::LinkTopology::kNvlinkRing,
-               4, comm::WireFormat::kFp32, chunk);
+               4, cnt, comm::WireFormat::kFp32, chunk);
     }
     // fp16 on the wire halves every message.
     run_coll(comm::CollectiveChoice::kRing, gpusim::LinkTopology::kPcieHost, 4,
-             comm::WireFormat::kFp16, 0);
+             cnt, comm::WireFormat::kFp16, 0);
 
     write_json(out, train, serve, coll);
     std::printf("wrote %s (%zu training + %zu serving + %zu collective "

@@ -37,49 +37,31 @@ void push_transfer(CollectiveProgram& prog, int src, int dst, std::size_t lo,
   prog.transfers.push_back(t);
 }
 
-/// Ring reduce-scatter over `devs` on [base, base+cnt): g-1 waves. At
-/// step s member i forwards chunk (i-s)%g to its successor, which
-/// accumulates. Leaves member (c+g-1)%g owning chunk c's full sum.
-void append_ring_rs(CollectiveProgram& prog, const std::vector<int>& devs,
-                    std::size_t base, std::size_t cnt, int& wave) {
-  const int g = static_cast<int>(devs.size());
-  for (int s = 0; s < g - 1; ++s, ++wave) {
-    for (int i = 0; i < g; ++i) {
-      const int chunk = (i - s + g) % g;
-      const auto [lo, hi] = chunk_range(cnt, g, chunk);
-      push_transfer(prog, devs[static_cast<std::size_t>(i)],
-                    devs[static_cast<std::size_t>((i + 1) % g)], base + lo,
-                    base + hi, /*accumulate=*/true, wave);
+/// Two-phase ring over n devices on [0, cnt): n-1 reduce-scatter waves
+/// then n-1 all-gather waves. Reduce-scatter step s: device i forwards
+/// chunk (i-s)%n to its successor, which accumulates — leaving device
+/// (c+n-1)%n owning chunk c's full sum. All-gather step s: device i
+/// forwards final chunk (i+1-s)%n and its successor overwrites.
+void append_ring(CollectiveProgram& prog, int n, std::size_t cnt, int& wave) {
+  for (const bool accumulate : {true, false}) {
+    for (int s = 0; s < n - 1; ++s, ++wave) {
+      for (int i = 0; i < n; ++i) {
+        const int chunk =
+            accumulate ? (i - s + n) % n : (i + 1 - s + 2 * n) % n;
+        const auto [lo, hi] = chunk_range(cnt, n, chunk);
+        push_transfer(prog, i, (i + 1) % n, lo, hi, accumulate, wave);
+      }
     }
   }
 }
 
-/// Ring all-gather over `devs` on [base, base+cnt): g-1 waves. At step s
-/// member i forwards final chunk (i+1-s)%g (owner mapping matches
-/// append_ring_rs) and its successor overwrites.
-void append_ring_ag(CollectiveProgram& prog, const std::vector<int>& devs,
-                    std::size_t base, std::size_t cnt, int& wave) {
-  const int g = static_cast<int>(devs.size());
-  for (int s = 0; s < g - 1; ++s, ++wave) {
-    for (int i = 0; i < g; ++i) {
-      const int chunk = (i + 1 - s + 2 * g) % g;
-      const auto [lo, hi] = chunk_range(cnt, g, chunk);
-      push_transfer(prog, devs[static_cast<std::size_t>(i)],
-                    devs[static_cast<std::size_t>((i + 1) % g)], base + lo,
-                    base + hi, /*accumulate=*/false, wave);
-    }
-  }
-}
-
-/// Recursive halving/doubling all-reduce over `devs` on [base,
-/// base+cnt). Non-power-of-two sizes fold: the r = m - p extra members
-/// first add their whole vector into a core member (one wave) and
-/// receive the finished vector at the end (one wave); the p-member core
-/// runs log2(p) halving waves (accumulate) and log2(p) doubling waves
+/// Recursive halving/doubling all-reduce over m devices on [0, cnt).
+/// Non-power-of-two sizes fold: the r = m - p extra members first add
+/// their whole vector into a core member (one wave) and receive the
+/// finished vector at the end (one wave); the p-member core runs
+/// log2(p) halving waves (accumulate) and log2(p) doubling waves
 /// (overwrite).
-void append_tree(CollectiveProgram& prog, const std::vector<int>& devs,
-                 std::size_t base, std::size_t cnt, int& wave) {
-  const int m = static_cast<int>(devs.size());
+void append_tree(CollectiveProgram& prog, int m, std::size_t cnt, int& wave) {
   GLP_CHECK(m >= 2);
   int p = 1;
   while (p * 2 <= m) p *= 2;
@@ -87,17 +69,15 @@ void append_tree(CollectiveProgram& prog, const std::vector<int>& devs,
 
   if (r > 0) {
     for (int e = 0; e < r; ++e) {
-      push_transfer(prog, devs[static_cast<std::size_t>(p + e)],
-                    devs[static_cast<std::size_t>(e)], base, base + cnt,
-                    /*accumulate=*/true, wave);
+      push_transfer(prog, p + e, e, 0, cnt, /*accumulate=*/true, wave);
     }
     ++wave;
   }
 
   // Per-core-member owned range; partners always hold identical ranges
   // (they share every earlier round's keep-low/keep-high decision).
-  std::vector<std::size_t> lo(static_cast<std::size_t>(p), base);
-  std::vector<std::size_t> hi(static_cast<std::size_t>(p), base + cnt);
+  std::vector<std::size_t> lo(static_cast<std::size_t>(p), 0);
+  std::vector<std::size_t> hi(static_cast<std::size_t>(p), cnt);
   int rounds = 0;
   for (int q = p; q > 1; q /= 2) ++rounds;
 
@@ -113,10 +93,8 @@ void append_tree(CollectiveProgram& prog, const std::vector<int>& devs,
       const std::size_t b = static_cast<std::size_t>(j);
       const std::size_t mid = lo[a] + (hi[a] - lo[a]) / 2;
       // Lower partner keeps [lo, mid), upper keeps [mid, hi).
-      push_transfer(prog, devs[a], devs[b], mid, hi[a], /*accumulate=*/true,
-                    wave);
-      push_transfer(prog, devs[b], devs[a], lo[a], mid, /*accumulate=*/true,
-                    wave);
+      push_transfer(prog, i, j, mid, hi[a], /*accumulate=*/true, wave);
+      push_transfer(prog, j, i, lo[a], mid, /*accumulate=*/true, wave);
       hi[a] = mid;
       lo[b] = mid;
     }
@@ -128,10 +106,8 @@ void append_tree(CollectiveProgram& prog, const std::vector<int>& devs,
       if (i > j) continue;
       const std::size_t a = static_cast<std::size_t>(i);
       const std::size_t b = static_cast<std::size_t>(j);
-      push_transfer(prog, devs[a], devs[b], lo[a], hi[a],
-                    /*accumulate=*/false, wave);
-      push_transfer(prog, devs[b], devs[a], lo[b], hi[b],
-                    /*accumulate=*/false, wave);
+      push_transfer(prog, i, j, lo[a], hi[a], /*accumulate=*/false, wave);
+      push_transfer(prog, j, i, lo[b], hi[b], /*accumulate=*/false, wave);
       const std::size_t nlo = std::min(lo[a], lo[b]);
       const std::size_t nhi = std::max(hi[a], hi[b]);
       lo[a] = lo[b] = nlo;
@@ -141,9 +117,7 @@ void append_tree(CollectiveProgram& prog, const std::vector<int>& devs,
 
   if (r > 0) {
     for (int e = 0; e < r; ++e) {
-      push_transfer(prog, devs[static_cast<std::size_t>(e)],
-                    devs[static_cast<std::size_t>(p + e)], base, base + cnt,
-                    /*accumulate=*/false, wave);
+      push_transfer(prog, e, p + e, 0, cnt, /*accumulate=*/false, wave);
     }
     ++wave;
   }
@@ -215,7 +189,6 @@ const char* to_string(CollectiveAlgo algo) {
   switch (algo) {
     case CollectiveAlgo::kRing: return "ring";
     case CollectiveAlgo::kTree: return "tree";
-    case CollectiveAlgo::kHier: return "hier";
   }
   return "?";
 }
@@ -225,7 +198,6 @@ const char* to_string(CollectiveChoice choice) {
     case CollectiveChoice::kAuto: return "auto";
     case CollectiveChoice::kRing: return "ring";
     case CollectiveChoice::kTree: return "tree";
-    case CollectiveChoice::kHier: return "hier";
   }
   return "?";
 }
@@ -238,12 +210,11 @@ std::optional<CollectiveChoice> parse_collective(const std::string& s) {
   if (s == "auto") return CollectiveChoice::kAuto;
   if (s == "ring") return CollectiveChoice::kRing;
   if (s == "tree") return CollectiveChoice::kTree;
-  if (s == "hier") return CollectiveChoice::kHier;
   return std::nullopt;
 }
 
-bool CollectiveCostModel::feasible(CollectiveAlgo algo, int devices,
-                                   gpusim::LinkTopology topology) {
+bool collective_feasible(CollectiveAlgo algo, int devices,
+                         gpusim::LinkTopology topology) {
   switch (algo) {
     case CollectiveAlgo::kRing:
       return devices >= 1;
@@ -251,76 +222,8 @@ bool CollectiveCostModel::feasible(CollectiveAlgo algo, int devices,
       // Halving/doubling pairs non-neighbour devices; only the shared
       // PCIe channel carries arbitrary pairs.
       return topology == gpusim::LinkTopology::kPcieHost && devices >= 2;
-    case CollectiveAlgo::kHier:
-      return topology == gpusim::LinkTopology::kPcieHost &&
-             hier_group(devices) > 0;
   }
   return false;
-}
-
-int CollectiveCostModel::hier_group(int n) {
-  if (n < 4) return 0;
-  for (int f = 2; f * f <= n; ++f) {
-    if (n % f == 0) return f;
-  }
-  return 0;  // prime: no two-level split
-}
-
-double CollectiveCostModel::predict_ns(CollectiveAlgo algo, std::size_t count,
-                                       WireFormat wire) const {
-  if (!feasible(algo, devices, topology)) {
-    return std::numeric_limits<double>::infinity();
-  }
-  if (devices <= 1 || count == 0) return 0.0;
-  const CollectiveProgram prog = build_collective_program(algo, devices, count);
-  if (prog.transfers.empty()) return 0.0;
-  const std::size_t eb = wire_bytes(wire);
-  const double bw = props.bytes_per_ns();
-  // Wave-synchronous accounting: per wave, one latency term plus the
-  // serialized bytes of the busiest channel (PCIe: all transfers share
-  // channel 0; NVLink: per-neighbour channels drain concurrently).
-  double total = 0.0;
-  int w = 0;
-  std::size_t i = 0;
-  while (i < prog.transfers.size()) {
-    std::size_t wave_end = i;
-    std::vector<std::size_t> per_channel;
-    std::size_t shared = 0;
-    while (wave_end < prog.transfers.size() &&
-           prog.transfers[wave_end].wave == prog.transfers[i].wave) {
-      const CollectiveTransfer& t = prog.transfers[wave_end];
-      const std::size_t bytes = (t.hi - t.lo) * eb;
-      if (topology == gpusim::LinkTopology::kPcieHost) {
-        shared += bytes;
-      } else {
-        // One directed channel per (src -> neighbour) pair.
-        per_channel.push_back(bytes);
-      }
-      ++wave_end;
-    }
-    double busiest = static_cast<double>(shared);
-    for (std::size_t b : per_channel)
-      busiest = std::max(busiest, static_cast<double>(b));
-    total += props.latency_ns + busiest / bw;
-    ++w;
-    i = wave_end;
-  }
-  (void)w;
-  return total;
-}
-
-CollectiveAlgo CollectiveCostModel::choose(std::size_t count,
-                                           WireFormat wire) const {
-  CollectiveAlgo best = CollectiveAlgo::kRing;
-  double best_ns = predict_ns(best, count, wire);
-  for (CollectiveAlgo algo : {CollectiveAlgo::kTree, CollectiveAlgo::kHier}) {
-    const double ns = predict_ns(algo, count, wire);
-    if (ns < best_ns) {
-      best = algo;
-      best_ns = ns;
-    }
-  }
-  return best;
 }
 
 CollectiveProgram build_collective_program(CollectiveAlgo algo, int devices,
@@ -331,103 +234,24 @@ CollectiveProgram build_collective_program(CollectiveAlgo algo, int devices,
   prog.count = count;
   if (devices <= 1 || count == 0) return prog;
 
-  std::vector<int> all(static_cast<std::size_t>(devices));
-  for (int d = 0; d < devices; ++d) all[static_cast<std::size_t>(d)] = d;
-
   int wave = 0;
-  switch (algo) {
-    case CollectiveAlgo::kRing: {
-      append_ring_rs(prog, all, 0, count, wave);
-      append_ring_ag(prog, all, 0, count, wave);
-      break;
-    }
-    case CollectiveAlgo::kTree: {
-      append_tree(prog, all, 0, count, wave);
-      break;
-    }
-    case CollectiveAlgo::kHier: {
-      const int g = CollectiveCostModel::hier_group(devices);
-      GLP_CHECK_MSG(g > 0, "hier needs composite device count >= 4");
-      const int groups = devices / g;
-      // Phase 1: intra-group ring reduce-scatter, all groups in the
-      // same waves.
-      const int wave0 = wave;
-      for (int q = 0; q < groups; ++q) {
-        std::vector<int> group(static_cast<std::size_t>(g));
-        for (int m = 0; m < g; ++m)
-          group[static_cast<std::size_t>(m)] = q * g + m;
-        int w = wave0;
-        append_ring_rs(prog, group, 0, count, w);
-        wave = w;
-      }
-      // Phase 2: per chunk, tree all-reduce among its per-group owners
-      // (member (c+g-1)%g of each group), concurrently in shared waves.
-      const int wave1 = wave;
-      for (int c = 0; c < g; ++c) {
-        const auto [lo, hi] = chunk_range(count, g, c);
-        if (hi <= lo) continue;
-        std::vector<int> owners(static_cast<std::size_t>(groups));
-        for (int q = 0; q < groups; ++q)
-          owners[static_cast<std::size_t>(q)] = q * g + (c + g - 1) % g;
-        int w = wave1;
-        append_tree(prog, owners, lo, hi - lo, w);
-        wave = std::max(wave, w);
-      }
-      // Phase 3: intra-group ring all-gather (owner mapping matches
-      // phase 1's reduce-scatter).
-      const int wave2 = wave;
-      for (int q = 0; q < groups; ++q) {
-        std::vector<int> group(static_cast<std::size_t>(g));
-        for (int m = 0; m < g; ++m)
-          group[static_cast<std::size_t>(m)] = q * g + m;
-        int w = wave2;
-        append_ring_ag(prog, group, 0, count, w);
-        wave = w;
-      }
-      // Transfers were appended group-major; re-establish wave-major
-      // program order (stable: preserves intra-wave determinism).
-      std::stable_sort(prog.transfers.begin(), prog.transfers.end(),
-                       [](const CollectiveTransfer& a,
-                          const CollectiveTransfer& b) {
-                         return a.wave < b.wave;
-                       });
-      break;
-    }
+  if (algo == CollectiveAlgo::kRing) {
+    append_ring(prog, devices, count, wave);
+  } else {
+    append_tree(prog, devices, count, wave);
   }
   prog.waves = wave;
   compute_deps(prog.transfers, 0, prog.transfers.size());
   return prog;
 }
 
-CollectiveProgram plan_collective(int devices, gpusim::LinkTopology topology,
-                                  const gpusim::LinkProps& props,
-                                  const CollectiveOptions& options,
-                                  std::size_t count) {
-  CollectiveCostModel cost{devices, topology, props};
-  CollectiveAlgo algo = CollectiveAlgo::kRing;
-  switch (options.collective) {
-    case CollectiveChoice::kAuto:
-      algo = cost.choose(count, options.wire);
-      break;
-    case CollectiveChoice::kRing:
-      algo = CollectiveAlgo::kRing;
-      break;
-    case CollectiveChoice::kTree:
-      algo = CollectiveAlgo::kTree;
-      break;
-    case CollectiveChoice::kHier:
-      algo = CollectiveAlgo::kHier;
-      break;
-  }
-  // An explicitly requested but infeasible algorithm (tree/hier on the
-  // NVLink ring, hier on prime/small fleets) degrades to the best
-  // feasible one instead of failing — the CLI stays topology-agnostic.
-  if (!CollectiveCostModel::feasible(algo, devices, topology)) {
-    algo = cost.choose(count, options.wire);
-  }
+namespace {
 
-  // Chunk pipelining: split into pieces of at most pipeline_chunk_bytes
-  // wire bytes, each an independent program over a disjoint range.
+/// `algo`'s program split into pieces of at most pipeline_chunk_bytes
+/// wire bytes, each an independent program over a disjoint range.
+CollectiveProgram plan_pieces(CollectiveAlgo algo, int devices,
+                              std::size_t count,
+                              const CollectiveOptions& options) {
   int pieces = 1;
   if (options.pipeline_chunk_bytes > 0 && count > 0) {
     const std::size_t total = count * wire_bytes(options.wire);
@@ -467,6 +291,100 @@ CollectiveProgram plan_collective(int devices, gpusim::LinkTopology topology,
   return merged;
 }
 
+/// Registers `prog` on `links` as one dependency-aware batch and returns
+/// each transfer's link id. A transfer's request is floored by its
+/// source's ready time (first sends), the receiver's ready time
+/// (accumulates read the local term), its channel's cross-bucket FIFO
+/// floor, and — via begin_after — the completion of the transfers that
+/// produced its payload and its destination value. Within the batch,
+/// waves of independent pipeline pieces overlap freely under exact PS.
+std::vector<std::uint64_t> register_program(
+    gpusim::LinkModel& links, const CollectiveProgram& prog, std::size_t eb,
+    const std::vector<gpusim::SimTime>& ready,
+    const std::vector<gpusim::SimTime>& channel_free) {
+  const std::size_t T = prog.transfers.size();
+  std::vector<std::uint64_t> link_id(T);
+  std::vector<std::uint64_t> deps;
+  for (std::size_t i = 0; i < T; ++i) {
+    const CollectiveTransfer& t = prog.transfers[i];
+    const int ch = links.channel_for(t.src, t.dst);
+    gpusim::SimTime floor = channel_free[static_cast<std::size_t>(ch)];
+    floor = std::max(floor, ready[static_cast<std::size_t>(t.src)]);
+    if (t.accumulate) {
+      floor = std::max(floor, ready[static_cast<std::size_t>(t.dst)]);
+    }
+    deps.clear();
+    for (std::int32_t d : t.src_deps)
+      deps.push_back(link_id[static_cast<std::size_t>(d)]);
+    for (std::int32_t d : t.dst_deps)
+      deps.push_back(link_id[static_cast<std::size_t>(d)]);
+    link_id[i] =
+        links.begin_after(t.src, t.dst, (t.hi - t.lo) * eb, floor, deps);
+  }
+  return link_id;
+}
+
+/// Makespan of `prog` alone on a scratch link model, every payload ready
+/// at 0: the registration CollectiveEngine::reduce makes on an idle
+/// fleet, timed without touching any device.
+gpusim::SimTime dry_run_ns(const CollectiveProgram& prog,
+                           gpusim::LinkTopology topology,
+                           const gpusim::LinkProps& props, WireFormat wire) {
+  gpusim::LinkModel links(prog.devices, topology, props);
+  register_program(
+      links, prog, wire_bytes(wire),
+      std::vector<gpusim::SimTime>(static_cast<std::size_t>(prog.devices), 0.0),
+      std::vector<gpusim::SimTime>(
+          static_cast<std::size_t>(links.channel_count()), 0.0));
+  links.finalize_all();
+  gpusim::SimTime end = 0.0;
+  for (const gpusim::TransferRecord& r : links.take_completed()) {
+    end = std::max(end, r.end_ns);
+  }
+  return end;
+}
+
+}  // namespace
+
+CollectiveProgram plan_collective(int devices, gpusim::LinkTopology topology,
+                                  const gpusim::LinkProps& props,
+                                  const CollectiveOptions& options,
+                                  std::size_t count) {
+  if (options.collective != CollectiveChoice::kAuto) {
+    const CollectiveAlgo algo = options.collective == CollectiveChoice::kTree
+                                    ? CollectiveAlgo::kTree
+                                    : CollectiveAlgo::kRing;
+    if (collective_feasible(algo, devices, topology)) {
+      return plan_pieces(algo, devices, count, options);
+    }
+    // An explicitly requested but infeasible algorithm (tree on the
+    // NVLink ring) degrades to the best feasible one instead of failing
+    // — the CLI stays topology-agnostic.
+  }
+  std::vector<CollectiveAlgo> candidates;
+  for (const CollectiveAlgo algo :
+       {CollectiveAlgo::kRing, CollectiveAlgo::kTree}) {
+    if (collective_feasible(algo, devices, topology)) {
+      candidates.push_back(algo);
+    }
+  }
+  CollectiveProgram best =
+      plan_pieces(candidates.front(), devices, count, options);
+  if (candidates.size() == 1 || best.transfers.empty()) return best;
+  gpusim::SimTime best_ns = dry_run_ns(best, topology, props, options.wire);
+  for (std::size_t i = 1; i < candidates.size(); ++i) {
+    CollectiveProgram prog =
+        plan_pieces(candidates[i], devices, count, options);
+    const gpusim::SimTime ns = dry_run_ns(prog, topology, props, options.wire);
+    if (ns < best_ns ||
+        (ns == best_ns && prog.transfers.size() < best.transfers.size())) {
+      best = std::move(prog);
+      best_ns = ns;
+    }
+  }
+  return best;
+}
+
 void reference_collective_allreduce(const CollectiveProgram& program,
                                     const std::vector<float*>& grads,
                                     std::size_t count, WireFormat wire) {
@@ -498,32 +416,10 @@ void reference_collective_allreduce(const CollectiveProgram& program,
   }
 }
 
-void reference_tree_allreduce(const std::vector<float*>& grads,
-                              std::size_t count) {
-  const int n = static_cast<int>(grads.size());
-  GLP_REQUIRE(n >= 1, "reference_tree_allreduce needs at least one rank");
-  if (n == 1) return;
-  const CollectiveProgram prog =
-      build_collective_program(CollectiveAlgo::kTree, n, count);
-  reference_collective_allreduce(prog, grads, count, WireFormat::kFp32);
-}
-
-void reference_hier_allreduce(const std::vector<float*>& grads,
-                              std::size_t count) {
-  const int n = static_cast<int>(grads.size());
-  GLP_REQUIRE(CollectiveCostModel::hier_group(n) > 0,
-              "reference_hier_allreduce needs composite n >= 4");
-  const CollectiveProgram prog =
-      build_collective_program(CollectiveAlgo::kHier, n, count);
-  reference_collective_allreduce(prog, grads, count, WireFormat::kFp32);
-}
-
 CollectiveEngine::CollectiveEngine(scuda::Fleet& fleet,
                                    CollectiveOptions options)
     : fleet_(&fleet), options_(options) {
   lane_count_ = std::max(1, options_.lanes);
-  cost_model_ = CollectiveCostModel{fleet.size(), fleet.links().topology(),
-                                    fleet.links().props()};
   lanes_.reserve(static_cast<std::size_t>(fleet.size() * lane_count_));
   for (int d = 0; d < fleet.size(); ++d) {
     scuda::Context& ctx = fleet.device(d);
@@ -625,31 +521,8 @@ std::vector<gpusim::EventId> CollectiveEngine::reduce(
   const std::size_t eb = wire_bytes(options_.wire);
   const std::size_t T = prog.transfers.size();
 
-  // Register the whole program as one dependency-aware batch: a
-  // transfer's request is floored by its source's pack time (first
-  // sends), the receiver's pack time (accumulates read the local term),
-  // the cross-bucket channel FIFO, and — via begin_after — the
-  // completion of the transfers that produced its payload and its
-  // destination value. Within the batch, waves of independent pipeline
-  // pieces overlap freely under exact PS.
-  std::vector<std::uint64_t> link_id(T);
-  for (std::size_t i = 0; i < T; ++i) {
-    const CollectiveTransfer& t = prog.transfers[i];
-    const int ch = links.channel_for(t.src, t.dst);
-    gpusim::SimTime floor = channel_free_[static_cast<std::size_t>(ch)];
-    floor = std::max(floor, ready0[static_cast<std::size_t>(t.src)]);
-    if (t.accumulate) {
-      floor = std::max(floor, ready0[static_cast<std::size_t>(t.dst)]);
-    }
-    std::vector<std::uint64_t> deps;
-    deps.reserve(t.src_deps.size() + t.dst_deps.size());
-    for (std::int32_t d : t.src_deps)
-      deps.push_back(link_id[static_cast<std::size_t>(d)]);
-    for (std::int32_t d : t.dst_deps)
-      deps.push_back(link_id[static_cast<std::size_t>(d)]);
-    link_id[i] =
-        links.begin_after(t.src, t.dst, (t.hi - t.lo) * eb, floor, deps);
-  }
+  const std::vector<std::uint64_t> link_id =
+      register_program(links, prog, eb, ready0, channel_free_);
   links.finalize_all();
   std::vector<gpusim::TransferRecord> recs = links.take_completed();
   GLP_CHECK(recs.size() == T);

@@ -1,26 +1,24 @@
 #pragma once
 // Topology-aware collective engine for the simulated fleet.
 //
-// PR 9's single hard-wired ring becomes a family of all-reduce
-// algorithms expressed as *wave programs* — deterministic lists of
-// point-to-point transfers with explicit data dependencies — executed by
-// one scheduled executor over the fleet's LinkModel and replayed by one
-// host oracle:
+// All-reduce algorithms are expressed as *wave programs* — deterministic
+// lists of point-to-point transfers with explicit data dependencies —
+// executed by one scheduled executor over the fleet's LinkModel and
+// replayed by one host oracle:
 //
 //   ring  — classic two-phase ring: N-1 reduce-scatter waves + N-1
 //           all-gather waves. Bandwidth-optimal; 2(N-1) latency terms.
 //   tree  — recursive halving/doubling (Rabenseifner): 2*ceil(log2 N)
 //           waves (+2 fold waves when N is not a power of two). Same
 //           total bytes on a shared channel, exponentially fewer
-//           latency terms — wins on the PCIe-class shared channel.
-//   hier  — two-level: intra-group ring reduce-scatter, inter-group
-//           tree all-reduce per chunk, intra-group ring all-gather.
-//           Groups of size g = smallest prime factor of N; 2(g-1) +
-//           tree(N/g) waves. The wave-count winner at N >= 8 on PCIe.
+//           latency terms.
 //
-// tree and hier address non-neighbour device pairs, so they are only
-// feasible on kPcieHost (the NVLink ring has no such channels); auto
-// selection always picks ring on kNvlinkRing.
+// tree addresses non-neighbour device pairs, so it is only feasible on
+// kPcieHost (the NVLink ring has no such channels); auto selection
+// always picks ring on kNvlinkRing. On kPcieHost auto is a timing-only
+// dry run: every feasible program, planned with the engine's own
+// pipelining and wire format, is timed on a scratch LinkModel and the
+// fastest wins (an exact tie goes to the program with fewer transfers).
 //
 // Large buckets are chunk-pipelined: the bucket splits into `pieces`
 // independent sub-programs over disjoint element ranges, all handed to
@@ -56,17 +54,17 @@
 
 namespace comm {
 
-enum class CollectiveAlgo { kRing, kTree, kHier };
+enum class CollectiveAlgo { kRing, kTree };
 
-/// CLI-facing selection: a fixed algorithm or cost-model auto.
-enum class CollectiveChoice { kAuto, kRing, kTree, kHier };
+/// CLI-facing selection: a fixed algorithm or dry-run auto.
+enum class CollectiveChoice { kAuto, kRing, kTree };
 
 enum class WireFormat { kFp32, kFp16 };
 
 const char* to_string(CollectiveAlgo algo);
 const char* to_string(CollectiveChoice choice);
 const char* to_string(WireFormat wire);
-/// Parses "auto|ring|tree|hier"; nullopt on anything else.
+/// Parses "auto|ring|tree"; nullopt on anything else.
 std::optional<CollectiveChoice> parse_collective(const std::string& s);
 
 struct CollectiveOptions {
@@ -115,30 +113,9 @@ struct CollectiveProgram {
   int waves = 0;
 };
 
-/// Latency/bandwidth cost model calibrated against the LinkModel: a
-/// program's predicted makespan is the wave-synchronous sum of
-/// (latency + wave_bytes / bandwidth) per wave — on the shared PCIe
-/// channel every wave's transfers serialize onto one channel; on the
-/// NVLink ring a wave's per-channel maximum rules. Selection compares
-/// un-pipelined programs (pipelining rescales all algorithms alike).
-struct CollectiveCostModel {
-  int devices = 1;
-  gpusim::LinkTopology topology = gpusim::LinkTopology::kPcieHost;
-  gpusim::LinkProps props;
-
-  /// tree/hier need non-neighbour channels: kPcieHost only. hier
-  /// additionally needs a non-trivial group split (composite N >= 4).
-  static bool feasible(CollectiveAlgo algo, int devices,
-                       gpusim::LinkTopology topology);
-  /// Smallest prime factor of n (the hierarchical group size), or 0
-  /// when n < 4 or prime (no useful two-level split).
-  static int hier_group(int n);
-
-  double predict_ns(CollectiveAlgo algo, std::size_t count,
-                    WireFormat wire) const;
-  /// Cheapest feasible algorithm; ties break ring < tree < hier.
-  CollectiveAlgo choose(std::size_t count, WireFormat wire) const;
-};
+/// tree needs non-neighbour channels: kPcieHost only.
+bool collective_feasible(CollectiveAlgo algo, int devices,
+                         gpusim::LinkTopology topology);
 
 /// Bytes one element occupies on the wire.
 inline std::size_t wire_bytes(WireFormat wire) {
@@ -151,12 +128,14 @@ inline std::size_t wire_bytes(WireFormat wire) {
 CollectiveProgram build_collective_program(CollectiveAlgo algo, int devices,
                                            std::size_t count);
 
-/// Full planning pipeline: resolve CollectiveChoice via the cost model
-/// (infeasible explicit choices degrade to the best feasible algorithm),
-/// then split into pipeline pieces of at most pipeline_chunk_bytes wire
-/// bytes each. This is the single source of truth both the scheduled
-/// executor and the reference oracle use, which is what makes the
-/// per-algorithm bit-exactness contract checkable.
+/// Full planning pipeline: build the chosen algorithm's program split
+/// into pipeline pieces of at most pipeline_chunk_bytes wire bytes each.
+/// auto — and an explicit choice infeasible on this topology — plans
+/// every feasible algorithm that way, times each in a dry run on a
+/// scratch LinkModel (all payloads ready at 0) and keeps the fastest; an
+/// exact tie goes to fewer transfers. This is the single source of truth
+/// both the scheduled executor and the reference oracle use, which is
+/// what makes the per-algorithm bit-exactness contract checkable.
 CollectiveProgram plan_collective(int devices, gpusim::LinkTopology topology,
                                   const gpusim::LinkProps& props,
                                   const CollectiveOptions& options,
@@ -171,13 +150,6 @@ void reference_collective_allreduce(const CollectiveProgram& program,
                                     const std::vector<float*>& grads,
                                     std::size_t count, WireFormat wire);
 
-/// Convenience oracles mirroring reference_ring_allreduce for the other
-/// algorithms (fp32 wire, un-pipelined).
-void reference_tree_allreduce(const std::vector<float*>& grads,
-                              std::size_t count);
-void reference_hier_allreduce(const std::vector<float*>& grads,
-                              std::size_t count);
-
 /// Scheduled executor: runs any collective program over the fleet.
 class CollectiveEngine {
  public:
@@ -188,7 +160,6 @@ class CollectiveEngine {
   CollectiveEngine(scuda::Fleet& fleet, CollectiveOptions options);
 
   const CollectiveOptions& options() const { return options_; }
-  const CollectiveCostModel& cost_model() const { return cost_model_; }
 
   /// The program reduce() will run for a `count`-element bucket
   /// (memoized — bucket sizes repeat every iteration).
@@ -229,7 +200,6 @@ class CollectiveEngine {
 
   scuda::Fleet* fleet_;
   CollectiveOptions options_;
-  CollectiveCostModel cost_model_;
   int lane_count_ = 1;
   std::vector<scuda::Stream> lanes_;  ///< device-major [d * lanes + l]
   /// Cross-bucket FIFO floor per link channel: a later bucket's batch

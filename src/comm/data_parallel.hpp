@@ -1,9 +1,9 @@
 #pragma once
 // Data-parallel training across a simulated fleet: one net + solver
 // replica per device, sample-sharded data layers, and a bucketed
-// all-reduce (comm/collectives.hpp — ring/tree/hierarchical, selected
-// per bucket by the collective cost model) that averages gradients
-// between backward and the solver update.
+// all-reduce (comm/collectives.hpp — ring or tree, selected per bucket
+// size by a timing-only dry run on a scratch link model) that averages
+// gradients between backward and the solver update.
 //
 // The trainer is *eager* by default: buckets of parameters are
 // all-reduced as soon as their backward accumulation completes (a

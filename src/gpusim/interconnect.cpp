@@ -205,9 +205,14 @@ void LinkModel::finalize_all() {
           }
         }
         now = t;
+        // A leftover above kEpsBytes whose drain time is below half an
+        // ulp of the channel clock can never drain: `now + drain` rounds
+        // back to `now`, so the next completion instant is `now` again
+        // and the loop would spin forever. It completes here instead.
+        const double share = static_cast<double>(act.size()) / bandwidth;
         for (auto it = act.begin(); it != act.end();) {
           Pending& p = pending_[*it];
-          if (p.remaining <= kEpsBytes) {
+          if (p.remaining <= kEpsBytes || now + p.remaining * share <= now) {
             p.remaining = 0.0;
             p.rec.end_ns = now;
             end_ns_.emplace(p.rec.id, now);

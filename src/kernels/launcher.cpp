@@ -1,0 +1,77 @@
+#include "kernels/launcher.hpp"
+
+#include <algorithm>
+
+namespace kern {
+
+namespace {
+
+/// Merged-launch functor: runs every staged functor in staging order —
+/// the same host ops on the same buffers in the same order as the
+/// unfused per-stream FIFO execution.
+struct ChainRunner {
+  std::vector<gpusim::DeviceEngine::WorkFn> fns;
+  void operator()() {
+    for (auto& fn : fns) {
+      if (fn) fn();
+    }
+  }
+};
+
+}  // namespace
+
+void LaunchStager::stage(gpusim::StreamId stream, Staged s) {
+  for (Group& g : groups) {
+    if (g.stream == stream) {
+      g.staged.push_back(std::move(s));
+      return;
+    }
+  }
+  groups.push_back(Group{stream, {}});
+  groups.back().staged.push_back(std::move(s));
+}
+
+void LaunchStager::flush(scuda::Context& ctx, const std::string& merged_stem) {
+  gpusim::DeviceEngine& dev = ctx.device();
+  for (Group& g : groups) {
+    const gpusim::StreamId target =
+        ctx.faults().should_fail_launch() ? gpusim::kDefaultStream : g.stream;
+    if (g.staged.size() == 1) {
+      Staged& s = g.staged.front();
+      dev.launch_kernel(target, std::move(s.name), s.config, s.cost,
+                        std::move(s.work));
+      continue;
+    }
+    gpusim::LaunchConfig cfg;
+    gpusim::KernelCost cost;
+    cfg.regs_per_thread = 0;
+    std::vector<gpusim::DeviceEngine::WorkFn> fns;
+    fns.reserve(g.staged.size());
+    bool any_work = false;
+    for (Staged& s : g.staged) {
+      cfg.grid.x = std::max(cfg.grid.x, s.config.grid.x);
+      cfg.grid.y = std::max(cfg.grid.y, s.config.grid.y);
+      cfg.grid.z = std::max(cfg.grid.z, s.config.grid.z);
+      cfg.block.x = std::max(cfg.block.x, s.config.block.x);
+      cfg.block.y = std::max(cfg.block.y, s.config.block.y);
+      cfg.block.z = std::max(cfg.block.z, s.config.block.z);
+      cfg.regs_per_thread =
+          std::max(cfg.regs_per_thread, s.config.regs_per_thread);
+      cfg.smem_static_bytes =
+          std::max(cfg.smem_static_bytes, s.config.smem_static_bytes);
+      cfg.smem_dynamic_bytes =
+          std::max(cfg.smem_dynamic_bytes, s.config.smem_dynamic_bytes);
+      cost.flops += s.cost.flops;
+      cost.bytes += s.cost.bytes;
+      any_work = any_work || static_cast<bool>(s.work);
+      fns.push_back(std::move(s.work));
+    }
+    dev.launch_kernel(
+        target, merged_stem + std::to_string(g.staged.size()), cfg, cost,
+        any_work ? gpusim::DeviceEngine::WorkFn(ChainRunner{std::move(fns)})
+                 : gpusim::DeviceEngine::WorkFn());
+  }
+  groups.clear();
+}
+
+}  // namespace kern

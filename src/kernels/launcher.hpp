@@ -8,58 +8,50 @@
 #include <functional>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "kernels/dispatch.hpp"
 #include "simcuda/context.hpp"
 
 namespace kern {
 
-/// Staging buffer for transparent launch coalescing (the DAG scheduler's
-/// elementwise-chain fusion pass). While armed on a Launcher, launch()
-/// *stages* each kernel instead of submitting it; the owner then merges
-/// the staged entries into one combined launch whose functor runs every
-/// staged functor in order. Running the same functors in the same order
-/// on the same buffers is bit-identical to the unfused FIFO execution —
-/// only the number of simulated launches (and their overhead) changes.
-struct FusionStager {
+/// Per-stream launch stager: the one staging path behind both launch
+/// coalescing passes — the DAG scheduler's elementwise-chain fusion
+/// (net_dag.cpp) and lane coalescing inside a parallel scope
+/// (kern::CoalescingDispatcher). While armed on a Launcher, launch()
+/// stages each kernel under its target stream instead of submitting it;
+/// flush() then merges every stream's staged kernels into ONE launch
+/// per stream whose functor runs the staged functors in staging order.
+/// Running the same host functors in the same per-stream order on the
+/// same buffers is bit-identical to the unfused FIFO execution — only
+/// the number of simulated launches (and the serial host overhead each
+/// one charges) changes. Groups keep first-use order so the flush
+/// submits streams in the order they were first touched.
+struct LaunchStager {
   struct Staged {
     std::string name;
     gpusim::LaunchConfig config;
     gpusim::KernelCost cost;
     gpusim::DeviceEngine::WorkFn work;
   };
-  bool armed = false;
-  std::vector<Staged> staged;
-};
-
-/// Per-stream staging buffer for *lane coalescing* inside a parallel
-/// scope (see kern::CoalescingDispatcher). While armed, launch() stages
-/// each kernel under its target stream instead of submitting it; at
-/// end_scope the owner merges every stream's staged kernels into one
-/// combined launch per stream. Each lane's per-sample chain runs the
-/// same host functors in the same per-stream order as the unfused
-/// execution, so outputs are bit-identical — only the number of
-/// simulated launches (and the serial host overhead each one charges)
-/// changes. Groups keep first-use order so the flush submits streams in
-/// the order the scope first touched them.
-struct LaneCoalescer {
   struct Group {
     gpusim::StreamId stream = gpusim::kDefaultStream;
-    std::vector<FusionStager::Staged> staged;
+    std::vector<Staged> staged;
   };
   bool armed = false;
   std::vector<Group> groups;
 
-  void stage(gpusim::StreamId stream, FusionStager::Staged s) {
-    for (Group& g : groups) {
-      if (g.stream == stream) {
-        g.staged.push_back(std::move(s));
-        return;
-      }
-    }
-    groups.push_back(Group{stream, {}});
-    groups.back().staged.push_back(std::move(s));
-  }
+  /// Append `s` to `stream`'s group, opening the group on first use.
+  void stage(gpusim::StreamId stream, Staged s);
+
+  /// Submit every group as one launch on its stream and clear the
+  /// stager. A lone kernel passes through under its own name; a merged
+  /// launch is named `<merged_stem>N` (N kernels), with the per-field
+  /// max launch config and the summed cost. Fault handling matches
+  /// Launcher::launch: one should_fail_launch() draw per launch, and a
+  /// failed launch re-issues on the legacy default stream (a two-sided
+  /// barrier), preserving global submission order.
+  void flush(scuda::Context& ctx, const std::string& merged_stem);
 };
 
 struct Launcher {
@@ -67,13 +59,9 @@ struct Launcher {
   gpusim::StreamId stream = gpusim::kDefaultStream;
   ComputeMode mode = ComputeMode::kNumeric;
   std::string name_prefix;
-  /// When set and armed, launches are staged for coalescing instead of
-  /// being submitted (see FusionStager).
-  FusionStager* fuser = nullptr;
-  /// When set and armed (inside a coalescable scope), launches are staged
-  /// per target stream and merged at end_scope (see LaneCoalescer).
-  /// Checked after `fuser` — DAG elementwise fusion takes precedence.
-  LaneCoalescer* coalescer = nullptr;
+  /// When set and armed, launches are staged per target stream for
+  /// coalescing instead of being submitted (see LaunchStager).
+  LaunchStager* stager = nullptr;
 
   Launcher with_stream(gpusim::StreamId s) const {
     Launcher l = *this;
@@ -101,19 +89,11 @@ struct Launcher {
                        gpusim::DeviceEngine::WorkFn work) const {
     const std::string full =
         name_prefix.empty() ? kernel_name : name_prefix + "/" + kernel_name;
-    if (fuser != nullptr && fuser->armed) {
-      fuser->staged.push_back(
-          {full, config, cost,
-           mode == ComputeMode::kNumeric ? std::move(work)
-                                         : gpusim::DeviceEngine::WorkFn()});
-      return 0;  // no correlation id — the merged launch gets one
-    }
-    if (coalescer != nullptr && coalescer->armed) {
-      coalescer->stage(
-          stream, {full, config, cost,
-                   mode == ComputeMode::kNumeric
-                       ? std::move(work)
-                       : gpusim::DeviceEngine::WorkFn()});
+    if (stager != nullptr && stager->armed) {
+      stager->stage(stream, {full, config, cost,
+                             mode == ComputeMode::kNumeric
+                                 ? std::move(work)
+                                 : gpusim::DeviceEngine::WorkFn()});
       return 0;  // no correlation id — the merged launch gets one
     }
     const gpusim::StreamId target =

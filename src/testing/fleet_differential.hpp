@@ -6,8 +6,8 @@
 // The reference run trains one net on one device, consuming each fleet
 // iteration's N micro-batches sequentially, capturing each micro-batch's
 // gradients, combining them with the *selected collective's* reference
-// oracle — the same wave program the fleet schedules (ring, tree or
-// hierarchical, with the same pipelining split and wire format),
+// oracle — the same wave program the fleet schedules (ring or tree,
+// with the same pipelining split and wire format),
 // replayed on the host by reference_collective_allreduce — scaling by
 // 1/N and applying ONE solver update. The fleet run trains the same
 // spec through FleetTrainer over a real Fleet (link contention, eager

@@ -2,9 +2,9 @@
 // bit-identical to its host oracle (the shared wave program replayed by
 // reference_collective_allreduce), across device counts, non-divisible
 // and degenerate element counts, fp16 wire, pipelining, and faulted
-// comm-lane creation. Plus the cost model's selection behaviour, the
-// fp16 loss-trajectory tolerance contract, and the pipelining win the
-// BENCH_fleet floors quantify.
+// comm-lane creation. Plus auto's dry-run selection (never slower than
+// any forced feasible algorithm), the fp16 loss-trajectory tolerance
+// contract, and the pipelining win the BENCH_fleet floors quantify.
 
 #include <gtest/gtest.h>
 
@@ -24,7 +24,6 @@ namespace {
 
 using comm::CollectiveAlgo;
 using comm::CollectiveChoice;
-using comm::CollectiveCostModel;
 using comm::CollectiveOptions;
 using comm::CollectiveProgram;
 using comm::WireFormat;
@@ -133,22 +132,11 @@ TEST(CollectiveOracle, TreeScheduledBitExactAcrossCounts) {
   }
 }
 
-TEST(CollectiveOracle, HierScheduledBitExactAcrossCounts) {
-  for (const int n : {4, 6, 8, 9}) {
-    for (const std::size_t count :
-         {std::size_t{1}, std::size_t{5}, std::size_t{1000}}) {
-      expect_scheduled_matches_oracle(n, LinkTopology::kPcieHost,
-                                      forced(CollectiveChoice::kHier), count);
-    }
-  }
-}
-
 TEST(CollectiveOracle, PipelinedProgramsStayBitExact) {
   // 64-byte pieces split a 100-element bucket into many overlapping
   // sub-programs; the oracle replays the identical merged program.
-  for (const CollectiveChoice c : {CollectiveChoice::kRing,
-                                   CollectiveChoice::kTree,
-                                   CollectiveChoice::kHier}) {
+  for (const CollectiveChoice c :
+       {CollectiveChoice::kRing, CollectiveChoice::kTree}) {
     CollectiveOptions o = forced(c);
     o.pipeline_chunk_bytes = 64;
     expect_scheduled_matches_oracle(4, LinkTopology::kPcieHost, o, 100);
@@ -161,13 +149,12 @@ TEST(CollectiveOracle, CountSmallerThanDevicesHasNoEmptySegments) {
   expect_scheduled_matches_oracle(8, LinkTopology::kNvlinkRing,
                                   forced(CollectiveChoice::kRing), 3);
   expect_scheduled_matches_oracle(8, LinkTopology::kPcieHost,
-                                  forced(CollectiveChoice::kHier), 3);
+                                  forced(CollectiveChoice::kTree), 3);
 }
 
 TEST(CollectiveOracle, Fp16WireBitExactAgainstFp16Oracle) {
-  for (const CollectiveChoice c : {CollectiveChoice::kRing,
-                                   CollectiveChoice::kTree,
-                                   CollectiveChoice::kHier}) {
+  for (const CollectiveChoice c :
+       {CollectiveChoice::kRing, CollectiveChoice::kTree}) {
     expect_scheduled_matches_oracle(4, LinkTopology::kPcieHost,
                                     forced(c, WireFormat::kFp16), 1000);
   }
@@ -208,9 +195,8 @@ TEST(CollectiveEngine, SingleDeviceFleetIsIdle) {
 }
 
 TEST(CollectiveEngine, FaultedLaneCreationFallsBackPerAlgorithm) {
-  for (const CollectiveChoice c : {CollectiveChoice::kRing,
-                                   CollectiveChoice::kTree,
-                                   CollectiveChoice::kHier}) {
+  for (const CollectiveChoice c :
+       {CollectiveChoice::kRing, CollectiveChoice::kTree}) {
     scuda::Fleet fleet = scuda::Fleet::homogeneous(
         4, gpusim::DeviceTable::p100(), fleet_options(LinkTopology::kPcieHost));
     scuda::FaultConfig faults;
@@ -225,48 +211,73 @@ TEST(CollectiveEngine, FaultedLaneCreationFallsBackPerAlgorithm) {
   }
 }
 
-TEST(CollectiveCostModel, FeasibilityFollowsTopology) {
-  EXPECT_TRUE(CollectiveCostModel::feasible(CollectiveAlgo::kRing, 4,
-                                            LinkTopology::kNvlinkRing));
-  EXPECT_FALSE(CollectiveCostModel::feasible(CollectiveAlgo::kTree, 4,
-                                             LinkTopology::kNvlinkRing));
-  EXPECT_FALSE(CollectiveCostModel::feasible(CollectiveAlgo::kHier, 8,
-                                             LinkTopology::kNvlinkRing));
-  EXPECT_TRUE(CollectiveCostModel::feasible(CollectiveAlgo::kTree, 4,
-                                            LinkTopology::kPcieHost));
-  EXPECT_TRUE(CollectiveCostModel::feasible(CollectiveAlgo::kHier, 8,
-                                            LinkTopology::kPcieHost));
-  // hier needs a composite count >= 4.
-  EXPECT_FALSE(CollectiveCostModel::feasible(CollectiveAlgo::kHier, 5,
-                                             LinkTopology::kPcieHost));
-  EXPECT_FALSE(CollectiveCostModel::feasible(CollectiveAlgo::kHier, 2,
-                                             LinkTopology::kPcieHost));
-
-  EXPECT_EQ(CollectiveCostModel::hier_group(4), 2);
-  EXPECT_EQ(CollectiveCostModel::hier_group(6), 2);
-  EXPECT_EQ(CollectiveCostModel::hier_group(8), 2);
-  EXPECT_EQ(CollectiveCostModel::hier_group(9), 3);
-  EXPECT_EQ(CollectiveCostModel::hier_group(15), 3);
-  EXPECT_EQ(CollectiveCostModel::hier_group(5), 0);
-  EXPECT_EQ(CollectiveCostModel::hier_group(7), 0);
-  EXPECT_EQ(CollectiveCostModel::hier_group(3), 0);
+TEST(CollectiveSelection, FeasibilityFollowsTopology) {
+  EXPECT_TRUE(comm::collective_feasible(CollectiveAlgo::kRing, 4,
+                                        LinkTopology::kNvlinkRing));
+  EXPECT_FALSE(comm::collective_feasible(CollectiveAlgo::kTree, 4,
+                                         LinkTopology::kNvlinkRing));
+  EXPECT_TRUE(comm::collective_feasible(CollectiveAlgo::kTree, 4,
+                                        LinkTopology::kPcieHost));
+  EXPECT_FALSE(comm::collective_feasible(CollectiveAlgo::kTree, 1,
+                                         LinkTopology::kPcieHost));
 }
 
-TEST(CollectiveCostModel, TreeBeatsRingOnSharedPcieChannel) {
-  const CollectiveCostModel cost{4, LinkTopology::kPcieHost,
-                                 gpusim::LinkProps::pcie()};
+/// Simulated makespan of one timing-only reduce of a `count`-element
+/// bucket on a fresh PCIe fleet, plus the algorithm the engine ran.
+std::pair<double, CollectiveAlgo> pcie_makespan(int n,
+                                                const CollectiveOptions& o,
+                                                std::size_t count) {
+  scuda::Fleet fleet = scuda::Fleet::homogeneous(
+      n, gpusim::DeviceTable::p100(), fleet_options(LinkTopology::kPcieHost));
+  comm::CollectiveEngine engine(fleet, o);
+  const std::vector<float*> ptrs(static_cast<std::size_t>(n), nullptr);
+  const std::vector<gpusim::SimTime> ready(static_cast<std::size_t>(n), 0.0);
+  engine.reduce(ptrs, count, ready, /*numeric=*/false);
+  fleet.synchronize_all();
+  return {fleet.max_device_now(), engine.algo_for(count)};
+}
+
+TEST(CollectiveSelection, TreeBeatsRingOnSharedPcieChannel) {
+  // Whole-bucket waves: tree's log-many latency terms win on the shared
+  // channel, and auto's dry run sees it.
   const std::size_t count = 64 * 1024;
-  EXPECT_LT(cost.predict_ns(CollectiveAlgo::kTree, count, WireFormat::kFp32),
-            cost.predict_ns(CollectiveAlgo::kRing, count, WireFormat::kFp32));
-  EXPECT_EQ(cost.choose(count, WireFormat::kFp32), CollectiveAlgo::kTree);
-
-  const CollectiveCostModel cost8{8, LinkTopology::kPcieHost,
-                                  gpusim::LinkProps::pcie()};
-  EXPECT_LT(cost8.predict_ns(CollectiveAlgo::kHier, count, WireFormat::kFp32),
-            cost8.predict_ns(CollectiveAlgo::kRing, count, WireFormat::kFp32));
+  CollectiveOptions ring = forced(CollectiveChoice::kRing);
+  CollectiveOptions tree = forced(CollectiveChoice::kTree);
+  CollectiveOptions autox;
+  ring.pipeline_chunk_bytes = tree.pipeline_chunk_bytes =
+      autox.pipeline_chunk_bytes = 0;
+  for (const int n : {4, 8}) {
+    const double ring_ns = pcie_makespan(n, ring, count).first;
+    EXPECT_LT(pcie_makespan(n, tree, count).first, ring_ns) << n;
+    EXPECT_EQ(pcie_makespan(n, autox, count).second, CollectiveAlgo::kTree)
+        << n;
+  }
 }
 
-TEST(CollectiveCostModel, AutoPicksRingOnNvlink) {
+TEST(CollectiveSelection, AutoNeverLosesToAForcedAlgorithm) {
+  // Default options (pipelined): auto times every feasible program in a
+  // dry run, so its makespan is at most each forced algorithm's.
+  for (const int n : {2, 3, 4, 6, 8}) {
+    for (const std::size_t count :
+         {std::size_t{1024}, std::size_t{64} << 10, std::size_t{479808},
+          std::size_t{1} << 20}) {
+      const auto [auto_ns, algo] = pcie_makespan(n, CollectiveOptions{}, count);
+      for (const CollectiveChoice c :
+           {CollectiveChoice::kRing, CollectiveChoice::kTree}) {
+        EXPECT_LE(auto_ns, pcie_makespan(n, forced(c), count).first)
+            << "n=" << n << " count=" << count << " auto ran "
+            << comm::to_string(algo) << " vs forced " << comm::to_string(c);
+      }
+    }
+  }
+  // Pipelined ring beats tree here, which a whole-bucket model misses.
+  EXPECT_EQ(pcie_makespan(4, CollectiveOptions{}, 479808).second,
+            CollectiveAlgo::kRing);
+  EXPECT_EQ(pcie_makespan(6, CollectiveOptions{}, 270602).second,
+            CollectiveAlgo::kTree);
+}
+
+TEST(CollectiveSelection, AutoPicksRingOnNvlink) {
   scuda::Fleet fleet = scuda::Fleet::homogeneous(
       4, gpusim::DeviceTable::p100(), fleet_options(LinkTopology::kNvlinkRing));
   comm::CollectiveEngine engine(fleet, {});  // kAuto
@@ -278,32 +289,60 @@ TEST(CollectiveCostModel, AutoPicksRingOnNvlink) {
   EXPECT_NE(pengine.algo_for(4096), CollectiveAlgo::kRing);
 }
 
-TEST(CollectiveCostModel, InfeasibleExplicitChoiceDegradesToBestFeasible) {
+TEST(CollectiveSelection, InfeasibleExplicitChoiceDegradesToBestFeasible) {
   // tree forced on the NVLink ring: no non-neighbour channels, so the
-  // plan degrades to the cost model's pick instead of CHECK-failing.
+  // plan degrades to the best feasible program instead of CHECK-failing.
   scuda::Fleet fleet = scuda::Fleet::homogeneous(
       4, gpusim::DeviceTable::p100(), fleet_options(LinkTopology::kNvlinkRing));
   comm::CollectiveEngine engine(fleet, forced(CollectiveChoice::kTree));
   EXPECT_EQ(engine.algo_for(4096), CollectiveAlgo::kRing);
-  // hier forced on a prime PCIe fleet: same degradation.
-  scuda::Fleet p5 = scuda::Fleet::homogeneous(
-      5, gpusim::DeviceTable::p100(), fleet_options(LinkTopology::kPcieHost));
-  comm::CollectiveEngine e5(p5, forced(CollectiveChoice::kHier));
-  EXPECT_NE(e5.algo_for(4096), CollectiveAlgo::kHier);
+}
+
+TEST(CollectiveOracle, RingProgramReplayMatchesChainFormula) {
+  // The ring's accumulation chain for chunk c starts at rank c and each
+  // successor adds its own term on the left (dst += staged is
+  // dst + acc, dst being the new term); every rank ends with the chain's
+  // value. Replaying the ring wave program must give exactly that.
+  for (const int n : {2, 3, 4, 8}) {
+    const std::size_t count = 1000;
+    const auto nn = static_cast<std::size_t>(n);
+    std::vector<std::vector<float>> grads(nn, std::vector<float>(count));
+    for (std::size_t d = 0; d < nn; ++d) {
+      for (std::size_t k = 0; k < count; ++k)
+        grads[d][k] = fill_value(static_cast<int>(d), k) * 0.1f;
+    }
+    std::vector<float> want(count);
+    for (int c = 0; c < n; ++c) {
+      const std::size_t lo = count * static_cast<std::size_t>(c) / nn;
+      const std::size_t hi = count * static_cast<std::size_t>(c + 1) / nn;
+      for (std::size_t k = lo; k < hi; ++k) {
+        float acc = grads[static_cast<std::size_t>(c)][k];
+        for (int s = 1; s < n; ++s)
+          acc = grads[static_cast<std::size_t>((c + s) % n)][k] + acc;
+        want[k] = acc;
+      }
+    }
+    std::vector<float*> ptrs;
+    for (auto& g : grads) ptrs.push_back(g.data());
+    comm::reference_collective_allreduce(
+        comm::build_collective_program(CollectiveAlgo::kRing, n, count), ptrs,
+        count, WireFormat::kFp32);
+    for (std::size_t d = 0; d < nn; ++d) {
+      for (std::size_t k = 0; k < count; ++k) {
+        ASSERT_TRUE(same_bits(grads[d][k], want[k]))
+            << "n=" << n << " d=" << d << " k=" << k;
+      }
+    }
+  }
 }
 
 TEST(CollectiveOracle, SumOfOnesCoversEveryElementExactly) {
   // All-ones all-reduce must leave exactly n everywhere — a full
   // coverage check over non-divisible and tiny counts for every
   // algorithm and rank count.
-  for (const CollectiveAlgo algo : {CollectiveAlgo::kRing,
-                                    CollectiveAlgo::kTree,
-                                    CollectiveAlgo::kHier}) {
+  for (const CollectiveAlgo algo :
+       {CollectiveAlgo::kRing, CollectiveAlgo::kTree}) {
     for (int n = 2; n <= 9; ++n) {
-      if (algo == CollectiveAlgo::kHier &&
-          CollectiveCostModel::hier_group(n) == 0) {
-        continue;
-      }
       for (const std::size_t count : {std::size_t{1}, std::size_t{2},
                                       std::size_t{5}, std::size_t{97}}) {
         const CollectiveProgram prog =

@@ -14,6 +14,7 @@
 
 #include <algorithm>
 #include <map>
+#include <random>
 #include <set>
 
 #include "gpusim/engine.hpp"
@@ -111,6 +112,35 @@ TEST(LinkModel, SameNvlinkLinkQueuesFifo) {
 }
 
 // --- transfer race checker -------------------------------------------------
+
+TEST(LinkModel, LateClockLeftoversDoNotLivelock) {
+  // Far into simulated time a transfer can keep a leftover above the
+  // residual-byte tolerance whose drain time is below half an ulp of the
+  // channel clock (4.8e-7 ns at 2^31 ns): the drain rounds back to the
+  // current instant and must still complete instead of spinning. Random
+  // contended batches, each floored at the previous batch's last
+  // completion, reach such a leftover from every start below.
+  for (const SimTime start_ns : {0.5e9, 2.2e9, 8.0e9}) {
+    LinkModel links(4, LinkTopology::kPcieHost, LinkProps::pcie());
+    std::mt19937_64 rng(7);
+    std::uniform_int_distribution<int> device(0, 3);
+    std::uniform_int_distribution<std::size_t> bytes(1, std::size_t{4} << 20);
+    SimTime floor = start_ns;
+    for (int batch = 0; batch < 2000; ++batch) {
+      for (int k = 0; k < 6; ++k) {
+        const int src = device(rng);
+        int dst = device(rng);
+        while (dst == src) dst = device(rng);
+        links.begin(src, dst, bytes(rng), floor);
+      }
+      links.finalize_all();
+      const auto recs = links.take_completed();
+      ASSERT_EQ(recs.size(), 6u);
+      for (const TransferRecord& r : recs) floor = std::max(floor, r.end_ns);
+    }
+    EXPECT_GT(floor, start_ns + 1.0e9) << start_ns;
+  }
+}
 
 TEST(FleetTransfers, CleanAuditOfContendedModelOutput) {
   LinkModel links(4, LinkTopology::kPcieHost, LinkProps::pcie());

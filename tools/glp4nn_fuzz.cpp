@@ -45,8 +45,8 @@
 //                        a cross-engine differential over the fleet path
 //   --no-overlap         fleet: serialize-then-reduce baseline instead of
 //                        eager bucketed overlap
-//   --collective <c>     fleet all-reduce algorithm: auto (cost model,
-//                        default) | ring | tree | hier | sample (rotate
+//   --collective <c>     fleet all-reduce algorithm: auto (timing-only
+//                        dry run, default) | ring | tree | sample (rotate
 //                        deterministically per case seed). The reference
 //                        oracle replays whichever program is selected, so
 //                        every algorithm is held to its own bit-exactness
@@ -151,7 +151,7 @@ int main(int argc, char** argv) {
       .flag("no-overlap", &no_overlap,
             "fleet: serialize-then-reduce instead of eager bucketed overlap")
       .opt("collective", &collective,
-           "fleet all-reduce: auto|ring|tree|hier|sample (per case)")
+           "fleet all-reduce: auto|ring|tree|sample (per case)")
       .flag("fp16-wire", &fp16_wire,
             "fleet: fp16 gradient compression on the wire")
       .flag("no-branches", &no_branches, "linear nets only")
@@ -206,7 +206,7 @@ int main(int argc, char** argv) {
     } else if (const auto choice = comm::parse_collective(collective)) {
       fleet_opts.collective.collective = *choice;
     } else {
-      fail(flags, "--collective must be auto|ring|tree|hier|sample");
+      fail(flags, "--collective must be auto|ring|tree|sample");
     }
     fleet_opts.collective.wire =
         fp16_wire ? comm::WireFormat::kFp16 : comm::WireFormat::kFp32;
@@ -237,8 +237,8 @@ int main(int argc, char** argv) {
         // replays with the same algorithm via an explicit --collective.
         static const comm::CollectiveChoice kRotation[] = {
             comm::CollectiveChoice::kAuto, comm::CollectiveChoice::kRing,
-            comm::CollectiveChoice::kTree, comm::CollectiveChoice::kHier};
-        fleet_opts.collective.collective = kRotation[case_seed % 4];
+            comm::CollectiveChoice::kTree};
+        fleet_opts.collective.collective = kRotation[case_seed % 3];
       }
       glpfuzz::FleetDiffResult fr;
       try {

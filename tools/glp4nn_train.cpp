@@ -30,8 +30,8 @@
 //                       (default: --device everywhere)
 //   --links <kind>      fleet interconnect: nvlink | pcie
 //   --no-overlap        serialize-then-reduce instead of eager overlap
-//   --collective <c>    all-reduce algorithm: auto (cost model, default) |
-//                       ring | tree | hier
+//   --collective <c>    all-reduce algorithm: auto (timing-only dry run,
+//                       default) | ring | tree
 //   --fp16-wire         compress gradients to fp16 on the wire (fp32
 //                       accumulation; loss-trajectory tolerance contract)
 //
@@ -116,7 +116,7 @@ int main(int argc, char** argv) {
       .flag("no-overlap", &no_overlap,
             "fleet: serialize-then-reduce instead of eager bucketed overlap")
       .opt("collective", &collective,
-           "fleet all-reduce algorithm: auto|ring|tree|hier")
+           "fleet all-reduce algorithm: auto|ring|tree")
       .flag("fp16-wire", &fp16_wire,
             "fleet: compress gradients to fp16 on the wire");
   switch (flags.parse(argc, argv)) {
@@ -217,7 +217,7 @@ int main(int argc, char** argv) {
       topts.solver = sp;
       topts.overlap = !no_overlap;
       const auto choice = comm::parse_collective(collective);
-      if (!choice) fail(flags, "--collective must be auto|ring|tree|hier");
+      if (!choice) fail(flags, "--collective must be auto|ring|tree");
       topts.collective.collective = *choice;
       topts.collective.wire = fp16_wire ? comm::WireFormat::kFp16
                                         : comm::WireFormat::kFp32;
