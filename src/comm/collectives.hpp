@@ -31,7 +31,7 @@
 //
 // Numerics are deterministic by construction: a program fixes every
 // accumulation's operand order, the executor's receive functors apply
-// them at simulated completion time, and reference_collective_allreduce
+// them once the receives complete, and reference_collective_allreduce
 // replays the identical float operations on the host — the fleet
 // differential's bit-exactness contract holds per algorithm. The
 // fp16-on-the-wire mode (WireFormat::kFp16) quantizes each payload to

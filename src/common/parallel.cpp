@@ -5,6 +5,7 @@
 #include <condition_variable>
 #include <cstdint>
 #include <cstdlib>
+#include <exception>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -17,6 +18,19 @@ namespace {
 // True while this thread is executing a chunk; nested parallel_for calls
 // run inline instead of re-entering the (non-reentrant) pool.
 thread_local bool t_in_parallel = false;
+
+/// Marks the current thread as inside a chunk for its lifetime, restoring
+/// the previous state on every exit path (including a throwing chunk).
+class ParallelRegion {
+ public:
+  ParallelRegion() : saved_(t_in_parallel) { t_in_parallel = true; }
+  ~ParallelRegion() { t_in_parallel = saved_; }
+  ParallelRegion(const ParallelRegion&) = delete;
+  ParallelRegion& operator=(const ParallelRegion&) = delete;
+
+ private:
+  bool saved_;
+};
 
 int env_workers() {
   const char* s = std::getenv("GLP_NUM_THREADS");
@@ -47,6 +61,11 @@ struct Run {
   std::size_t end = 0;
   std::atomic<std::size_t> next{0};       // ticket dispenser
   std::atomic<std::size_t> remaining{0};  // chunks not yet finished
+  // First exception a chunk threw. Once set, later tickets are retired
+  // without running; the caller rethrows it after every chunk is done.
+  std::atomic<bool> failed{false};
+  std::mutex error_mutex;
+  std::exception_ptr error;
 };
 
 // Fixed pool of workers woken per parallel_for call. Threads are created
@@ -89,11 +108,17 @@ class Pool {
     // The caller works too. If its own final ticket retired the last
     // chunk, every chunk has finished and there is nothing to wait for —
     // skip the mutex + condition variable round trip entirely.
-    if (drain(*run)) return;
-    std::unique_lock lock(mutex_);
-    done_cv_.wait(lock, [&run] {
-      return run->remaining.load(std::memory_order_acquire) == 0;
-    });
+    if (!drain(*run)) {
+      std::unique_lock lock(mutex_);
+      done_cv_.wait(lock, [&run] {
+        return run->remaining.load(std::memory_order_acquire) == 0;
+      });
+    }
+    // No chunk is in flight any more, so the callable (on the caller's
+    // stack) is no longer referenced and the error can be rethrown.
+    if (run->failed.load(std::memory_order_acquire)) {
+      std::rethrow_exception(run->error);
+    }
   }
 
  private:
@@ -128,9 +153,18 @@ class Pool {
       if (c >= run.n_chunks) break;
       const std::size_t lo = run.begin + c * run.grain;
       const std::size_t hi = std::min(run.end, lo + run.grain);
-      t_in_parallel = true;
-      run.fn(run.ctx, lo, hi);
-      t_in_parallel = false;
+      if (!run.failed.load(std::memory_order_relaxed)) {
+        try {
+          const ParallelRegion region;
+          run.fn(run.ctx, lo, hi);
+        } catch (...) {
+          const std::scoped_lock lock(run.error_mutex);
+          if (!run.failed.load(std::memory_order_relaxed)) {
+            run.error = std::current_exception();
+            run.failed.store(true, std::memory_order_release);
+          }
+        }
+      }
       if (run.remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
         retired_last = true;
       }

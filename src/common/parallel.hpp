@@ -37,8 +37,10 @@ void parallel_for_impl(std::size_t begin, std::size_t end, std::size_t grain,
 /// Invoke fn(lo, hi) over chunks of at most `grain` indices covering
 /// [begin, end). Small ranges (and calls made from inside a parallel
 /// region — the pool is not reentrant) run inline as one fn(begin, end).
-/// fn must not throw (violations terminate) and must only touch disjoint
-/// state per chunk (CP.2: avoid data races by construction).
+/// fn must only touch disjoint state per chunk (CP.2: avoid data races by
+/// construction). If a chunk throws, chunks not yet started are skipped,
+/// and the first exception is rethrown on the caller once every chunk in
+/// flight has finished; the pool stays usable.
 template <typename F>
 inline void parallel_for(std::size_t begin, std::size_t end, const F& fn,
                          std::size_t grain = 1024) {

@@ -409,14 +409,27 @@ bool SimDevice::start_ready_ops() {
         }
         case OpKind::kEventRecord: {
           events_[head.event] = EventSlot{now_, EventState::kRecorded};
+          if (head.barrier) {
+            host_exec_.cut();
+          } else if (host_exec_.tracking()) {
+            event_frontiers_[head.event] = st.frontier;
+          }
           complete_op_bookkeeping(head.seq, head.non_blocking);
           break;
         }
         case OpKind::kWaitEvent: {
+          if (head.barrier) {
+            host_exec_.cut();
+          } else if (host_exec_.tracking()) {
+            const auto it = event_frontiers_.find(head.event);
+            if (it != event_frontiers_.end()) host_exec_.merge(st.frontier, it->second);
+          }
           complete_op_bookkeeping(head.seq, head.non_blocking);
           break;
         }
         case OpKind::kHostFn: {
+          // A host function observes every completed functor's writes.
+          drain_host_work();
           if (head.work) head.work();
           complete_op_bookkeeping(head.seq, head.non_blocking);
           break;
@@ -592,7 +605,7 @@ void SimDevice::advance_to(SimTime t) {
       if (copies_[i].end_ns <= now_ + 1e-9) {
         ActiveCopy done = std::move(copies_[i]);
         copies_.erase(copies_.begin() + static_cast<std::ptrdiff_t>(i));
-        if (done.op.work) done.op.work();
+        defer_work(done.op);
         CopyRecord rec;
         rec.correlation_id = done.op.correlation;
         rec.stream = done.op.stream;
@@ -620,7 +633,7 @@ void SimDevice::finish_kernel(std::size_t idx) {
   ActiveKernel done = std::move(resident_[idx]);
   resident_.erase(resident_.begin() + static_cast<std::ptrdiff_t>(idx));
 
-  if (done.op.work) done.op.work();
+  defer_work(done.op);
 
   KernelRecord rec;
   rec.correlation_id = done.op.correlation;
@@ -638,7 +651,45 @@ void SimDevice::finish_kernel(std::size_t idx) {
   recompute_rates();
 }
 
+void SimDevice::defer_work(Op& op) {
+  if (op.barrier) {
+    // Default-stream ops are cut vertices of the happens-before graph.
+    if (op.work) {
+      host_exec_.defer_barrier(std::move(op.work));
+    } else {
+      host_exec_.cut();
+    }
+    return;
+  }
+  // An op without work forwards its stream's frontier unchanged.
+  if (!op.work) return;
+  HostExecutor::Frontier& frontier = stream_state(op.stream).frontier;
+  const HostExecutor::NodeId id = host_exec_.defer(std::move(op.work), frontier);
+  frontier.assign(1, id);
+}
+
+void SimDevice::drain_host_work() {
+  if (!event_frontiers_.empty()) event_frontiers_.clear();
+  host_exec_.drain();
+}
+
+template <typename Loop>
+void SimDevice::then_drain(Loop&& loop) {
+  try {
+    loop();
+  } catch (...) {
+    drain_host_work();
+    throw;
+  }
+  drain_host_work();
+}
+
 void SimDevice::run_until(const std::function<bool()>& pred) {
+  then_drain([&] { run_loop_until(pred); });
+  host_time_ = std::max(host_time_, now_);
+}
+
+void SimDevice::run_loop_until(const std::function<bool()>& pred) {
   // Stall guard: if the loop spins without the clock moving or work
   // completing, something violated an engine invariant — fail loudly with
   // state instead of hanging.
@@ -689,7 +740,6 @@ void SimDevice::run_until(const std::function<bool()>& pred) {
       throw glp::InternalError(state);
     }
   }
-  host_time_ = std::max(host_time_, now_);
 }
 
 void SimDevice::advance_device_to(SimTime t) {
@@ -698,34 +748,38 @@ void SimDevice::advance_device_to(SimTime t) {
   // leaves the host clock untouched (restored below) — peeking at the
   // device is not a synchronisation point.
   const SimTime saved_host = host_time_;
-  int spins = 0;
-  for (;;) {
-    if (start_ready_ops()) {
-      spins = 0;
-      continue;
+  then_drain([&] {
+    int spins = 0;
+    for (;;) {
+      if (start_ready_ops()) {
+        spins = 0;
+        continue;
+      }
+      const SimTime next = next_event_time();
+      if (next > t) break;
+      GLP_CHECK(next >= now_);
+      if (next > now_) spins = 0;
+      else if (++spins > 100000) {
+        throw glp::InternalError("gpusim: lookahead event loop is spinning");
+      }
+      advance_to(next);
     }
-    const SimTime next = next_event_time();
-    if (next > t) break;
-    GLP_CHECK(next >= now_);
-    if (next > now_) spins = 0;
-    else if (++spins > 100000) {
-      throw glp::InternalError("gpusim: lookahead event loop is spinning");
-    }
-    advance_to(next);
-  }
-  // Burn partial work down to exactly `t` so a later lookahead (or sync)
-  // resumes from a consistent fluid state.
-  if (t > now_ && (!resident_.empty() || !copies_.empty())) advance_to(t);
+    // Burn partial work down to exactly `t` so a later lookahead (or sync)
+    // resumes from a consistent fluid state.
+    if (t > now_ && (!resident_.empty() || !copies_.empty())) advance_to(t);
+  });
   host_time_ = saved_host;
 }
 
 SimTime SimDevice::peek_next_event() {
-  int spins = 0;
-  while (start_ready_ops()) {
-    if (++spins > 100000) {
-      throw glp::InternalError("gpusim: peek_next_event is spinning");
+  then_drain([&] {
+    int spins = 0;
+    while (start_ready_ops()) {
+      if (++spins > 100000) {
+        throw glp::InternalError("gpusim: peek_next_event is spinning");
+      }
     }
-  }
+  });
   return next_event_time();
 }
 

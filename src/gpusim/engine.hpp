@@ -20,10 +20,21 @@
 //
 // The host thread drives the simulation: launches enqueue work and
 // advance the host clock; synchronisation calls run the event loop until
-// the awaited condition holds. Host functors attached to kernels execute
-// real math (the DNN layers' arithmetic) at kernel-completion time in
-// simulated order, so stream-dependency bugs corrupt real numerics and
-// are caught by the convergence-invariance tests.
+// the awaited condition holds. Host functors attached to kernels and
+// copies execute real math (the DNN layers' arithmetic). Every engine call
+// that runs the event loop (synchronize*, advance_device_to,
+// peek_next_event) returns only after the functor of every op completed so
+// far has run, and a host_callback sees every earlier completed functor's
+// writes. Within a call, SimDevice runs them on the glp::parallel_for pool
+// ordered only by the happens-before edges the simulation enforced —
+// stream order, event waits and default-stream barriers (see
+// host_executor.hpp) — so functors on independent streams run
+// concurrently on the host just as their kernels overlap on the device.
+// ReferenceEngine runs them inline in simulated completion order, the
+// spec the parallel executor is checked against bit for bit. A functor
+// therefore must not read the engine's clocks. A stream-dependency bug
+// corrupts real numerics (or races on the host) and is caught by the
+// convergence-invariance tests.
 //
 // Two implementations share the `DeviceEngine` interface:
 //  * `SimDevice` — the production engine. Flat indexed stream table, an
@@ -46,6 +57,7 @@
 #include <vector>
 
 #include "gpusim/device_props.hpp"
+#include "gpusim/host_executor.hpp"
 #include "gpusim/inline_fn.hpp"
 #include "gpusim/occupancy.hpp"
 #include "gpusim/timeline.hpp"
@@ -112,8 +124,9 @@ class DeviceEngine {
   virtual int stream_count() const = 0;
 
   // --- work submission (host side; advances the host clock) ---------------
-  /// Enqueue a kernel. `work` runs on the host at simulated completion
-  /// time, in completion order. Returns a correlation id.
+  /// Enqueue a kernel. `work` runs on the host once the kernel has
+  /// completed, after every functor ordered before it, and before the
+  /// engine call that completed it returns. Returns a correlation id.
   virtual std::uint64_t launch_kernel(StreamId stream, std::string name,
                                       const LaunchConfig& config,
                                       const KernelCost& cost, WorkFn work) = 0;
@@ -123,8 +136,8 @@ class DeviceEngine {
   /// Enqueue a cross-device (peer) copy whose [start_ns, end_ns] span was
   /// computed externally by the fleet interconnect model (gpusim::LinkModel
   /// accounts link latency, bandwidth and contention). The op flows
-  /// through the ordinary copy event machinery — `work` runs at end_ns in
-  /// completion order, the record lands on the timeline tagged with
+  /// through the ordinary copy event machinery — `work` runs once the
+  /// copy completes at end_ns, the record lands on the timeline tagged with
   /// `peer_device` — but it does not occupy the device's own PCIe copy
   /// engines and its release is the link-granted start time rather than
   /// the submitting host clock (the issuing driver models a dedicated
@@ -367,6 +380,7 @@ class SimDevice final : public DeviceEngine {
     int priority = 0;
     bool live = false;
     bool non_blocking = false;   ///< exempt from default-stream ordering
+    HostExecutor::Frontier frontier;  ///< deferred functors the next op follows
   };
 
   enum class EventState : std::uint8_t { kUnknown = 0, kPending, kRecorded };
@@ -395,7 +409,13 @@ class SimDevice final : public DeviceEngine {
   };
 
   void submit(Op op, SimTime host_cost_ns);
+  /// Run the event loop until `pred` holds, then the deferred functors.
   void run_until(const std::function<bool()>& pred);
+  void run_loop_until(const std::function<bool()>& pred);
+  /// Run one event-loop entry point, then every deferred host functor —
+  /// also when the loop throws.
+  template <typename Loop>
+  void then_drain(Loop&& loop);
 
   /// Start every op that can start at the current sim time. Returns true
   /// if anything changed.
@@ -408,6 +428,10 @@ class SimDevice final : public DeviceEngine {
   void push_release(const Op& head);
   void advance_to(SimTime t);
   void finish_kernel(std::size_t idx);
+  /// Hand a completed kernel's or copy's functor to the host executor.
+  void defer_work(Op& op);
+  /// Run every deferred functor; all frontiers are stale afterwards.
+  void drain_host_work();
   bool stream_live(StreamId stream) const {
     return stream >= 0 && static_cast<std::size_t>(stream) < streams_.size() &&
            streams_[static_cast<std::size_t>(stream)].live;
@@ -438,6 +462,10 @@ class SimDevice final : public DeviceEngine {
 
   std::vector<ActiveKernel> resident_;
   std::vector<ActiveCopy> copies_;
+  HostExecutor host_exec_;             ///< completed ops' deferred functors
+  /// Recording stream's frontier per event recorded while the executor
+  /// was tracking a segment (other events have none); cleared per drain.
+  std::unordered_map<EventId, HostExecutor::Frontier> event_frontiers_;
   SimTime copy_min_end_;               ///< min end_ns over copies_ (+inf if none)
   mutable std::vector<ReleaseEntry> release_heap_;
 

@@ -2,8 +2,8 @@
 // Simulated cuBLAS-like kernels. Each wrapper picks a launch
 // configuration the way the real library's heuristics would (tile size by
 // problem shape, register/shared-memory footprint per tile), attaches an
-// analytic cost, and launches on the given stream. The host math runs at
-// simulated completion time in numeric mode.
+// analytic cost, and launches on the given stream. In numeric mode the
+// host math runs once the kernel has completed (see gpusim/engine.hpp).
 
 #include "kernels/launcher.hpp"
 

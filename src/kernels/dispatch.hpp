@@ -37,6 +37,20 @@ struct Lane {
   int lane = 0;
 };
 
+/// Gradient-accumulation slots a scope's tasks share when there are more
+/// tasks than this (see lane_owned_slots).
+inline constexpr int kSharedSlots = 32;
+
+/// Gradient-accumulation slot of each task of a scope, given the tasks'
+/// lanes, such that every slot is written from a single lane: tasks that
+/// share a slot then accumulate in stream order, never concurrently. Up to
+/// `kSharedSlots` tasks each own slot n. Beyond that, with S lanes, the
+/// k-th task of lane l gets slot l + S * (k mod max(1, kSharedSlots / S)),
+/// which is exactly n mod kSharedSlots under round-robin with S dividing
+/// kSharedSlots. Uses at most max(kSharedSlots, S) slots. Writes into
+/// `slots` so a caller that keeps it allocates nothing in steady state.
+void lane_owned_slots(const std::vector<Lane>& lanes, std::vector<int>& slots);
+
 /// One node of an inter-operator dependency DAG handed to plan_dag().
 /// Ops are listed in the order the host will issue them (a topological
 /// order by construction); `deps` reference earlier ops only.

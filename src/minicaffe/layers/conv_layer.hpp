@@ -6,12 +6,15 @@
 //
 // Deterministic parallel gradient accumulation: each sample's weight and
 // bias gradient GEMM accumulates into one of `accum_slots` partial
-// buffers (slot = n mod slots, slots = min(32, N)); a final reduction on
-// the default stream sums the slots in canonical ascending order. When
-// every sample of a slot runs on one stream (always true for the serial
-// baseline; true for GLP4NN whenever the pool size divides 32 — enforced
-// by the scheduler's strict-repro mode) training is bit-identical across
-// schedulers.
+// buffers; a final reduction on the default stream sums the slots in
+// canonical ascending order. Slots are lane-owned
+// (kern::lane_owned_slots): every sample sharing a slot runs on the same
+// stream, so no two streams ever accumulate into one slot concurrently.
+// A batch of at most 32 gives each sample its own slot (slot = n), and
+// round-robin over a pool whose size divides 32 gives slot = n mod 32 —
+// the serial baseline's assignment — so training is bit-identical across
+// schedulers whenever the batch is at most 32 or the pool size divides 32
+// (the scheduler's strict-repro mode).
 
 #include "minicaffe/layer.hpp"
 
@@ -34,11 +37,9 @@ class ConvolutionLayer final : public Layer {
   int out_width() const { return out_w_; }
   int accum_slots() const { return accum_slots_; }
 
-  /// Maximum number of gradient accumulation slots (see header comment).
-  static constexpr int kMaxAccumSlots = 32;
-
  private:
   void ensure_col_lane(int lane);
+  void grow_accum_slots(int slots);
 
   int num_ = 0, channels_ = 0, height_ = 0, width_ = 0;
   int out_h_ = 0, out_w_ = 0;
@@ -46,6 +47,8 @@ class ConvolutionLayer final : public Layer {
   int accum_slots_ = 1;
 
   std::vector<DeviceBuffer<float>> col_lanes_;
+  std::vector<kern::Lane> lanes_;  // backward scratch: each task's lane
+  std::vector<int> slots_;         // backward scratch: each task's gradient slot
   DeviceBuffer<float> ones_;           // [out_h*out_w], bias gradient helper
   DeviceBuffer<float> weight_partial_;  // [slots, Co, kernel_dim]
   DeviceBuffer<float> bias_partial_;    // [slots, Co]

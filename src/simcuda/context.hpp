@@ -47,8 +47,8 @@ class Context {
   std::size_t peak_bytes_allocated() const { return peak_bytes_; }
 
   /// Timed async H2D/D2H copy. `dst`/`src` must stay alive until the
-  /// stream completes. Actual byte movement happens at simulated
-  /// completion time (ordering is guaranteed by the stream).
+  /// stream completes. Actual byte movement happens once the copy has
+  /// completed (ordering is guaranteed by the stream).
   void memcpy_async(void* dst, const void* src, std::size_t bytes,
                     bool host_to_device, StreamId stream);
   /// Synchronous copy: issues on the default stream and synchronises it.

@@ -4,6 +4,7 @@
 #include <numeric>
 #include <set>
 #include <sstream>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -272,6 +273,49 @@ TEST(ParallelFor, NestedCallsRunInline) {
       /*grain=*/1);
   EXPECT_EQ(inner_calls.load(), 8);
   glp::set_parallel_workers(1);
+}
+
+TEST(ParallelFor, ThrowingChunkRethrowsOnCallerAndPoolStaysUsable) {
+  const int before = glp::parallel_workers();
+  for (const int workers : {1, 4}) {
+    glp::set_parallel_workers(workers);
+    // One chunk throws (on whichever thread claims it), then every chunk
+    // throws (so the caller's own chunk does too).
+    EXPECT_THROW(glp::parallel_for(
+                     0, 1000,
+                     [](std::size_t lo, std::size_t hi) {
+                       if (lo <= 500 && 500 < hi) throw std::runtime_error("one chunk");
+                     },
+                     /*grain=*/10),
+                 std::runtime_error);
+    EXPECT_THROW(glp::parallel_for(
+                     0, 1000,
+                     [](std::size_t, std::size_t) {
+                       throw std::runtime_error("every chunk");
+                     },
+                     /*grain=*/10),
+                 std::runtime_error);
+    // The caller is no longer marked as inside a parallel region: a fresh
+    // dispatch still splits into grain-sized chunks and covers the range.
+    std::mutex mu;
+    std::vector<std::pair<std::size_t, std::size_t>> chunks;
+    glp::parallel_for(
+        0, 1000,
+        [&](std::size_t lo, std::size_t hi) {
+          const std::lock_guard<std::mutex> lock(mu);
+          chunks.emplace_back(lo, hi);
+        },
+        /*grain=*/10);
+    std::sort(chunks.begin(), chunks.end());
+    if (workers > 1) {
+      ASSERT_EQ(chunks.size(), 100u) << workers << " workers";
+      EXPECT_EQ(chunks.back().first, 990u);
+      EXPECT_EQ(chunks.back().second, 1000u);
+    } else {
+      EXPECT_EQ(chunks, (std::vector<std::pair<std::size_t, std::size_t>>{{0, 1000}}));
+    }
+  }
+  glp::set_parallel_workers(before);
 }
 
 TEST(ParallelWorkers, AtLeastOne) { EXPECT_GE(glp::parallel_workers(), 1); }

@@ -8,6 +8,7 @@
 #include "common/check.hpp"
 #include "common/rng.hpp"
 #include <map>
+#include <mutex>
 
 #include "gpusim/engine.hpp"
 
@@ -52,7 +53,11 @@ TEST_P(EngineFuzz, OrderingRulesAlwaysHold) {
   std::map<int, gpusim::EventId> events;  // id of op the event follows
   int last_default = -1;
 
-  std::vector<int> execution;  // filled at sim time by the functors
+  // Filled by the functors. Functors on unordered streams may run
+  // concurrently, so appends are serialized; the append order still
+  // reflects every happens-before edge.
+  std::vector<int> execution;
+  std::mutex execution_mutex;
 
   const int n_ops = 10 + static_cast<int>(rng.next_below(40));
   for (int id = 0; id < n_ops; ++id) {
@@ -73,7 +78,10 @@ TEST_P(EngineFuzz, OrderingRulesAlwaysHold) {
                           32u << rng.next_below(5)),
                       {1e5 + static_cast<double>(rng.next_below(100)) * 1e5,
                        1e4},
-                      [&execution, id] { execution.push_back(id); });
+                      [&execution, &execution_mutex, id] {
+                        const std::scoped_lock lock(execution_mutex);
+                        execution.push_back(id);
+                      });
 
     // Constraints this launch creates.
     if (last_in_stream.count(stream)) {

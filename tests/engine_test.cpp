@@ -1,6 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <deque>
+#include <map>
+#include <memory>
+#include <string>
+#include <vector>
+
 #include "common/check.hpp"
+#include "common/parallel.hpp"
 
 #include "gpusim/engine.hpp"
 
@@ -452,12 +459,16 @@ TEST(Engine, HighPriorityStreamsAdmitFirstUnderSaturation) {
   EXPECT_EQ(dev.stream_priority(high), 5);
   EXPECT_EQ(dev.stream_priority(kDefaultStream), 0);
 
+  // Completion order from the kernel records (work functors on unordered
+  // streams may run concurrently on the host, in any order).
   std::vector<char> order;
+  dev.set_kernel_callback(
+      [&](const gpusim::KernelRecord& rec) { order.push_back(rec.name[0]); });
   // Low-priority work submitted first; both become ready while the device
   // is saturated by the first kernel.
-  dev.launch_kernel(low, "l0", cfg(4, 128), flops(1e8), [&] { order.push_back('l'); });
-  dev.launch_kernel(low, "l1", cfg(4, 128), flops(1e6), [&] { order.push_back('l'); });
-  dev.launch_kernel(high, "h0", cfg(4, 128), flops(1e6), [&] { order.push_back('h'); });
+  dev.launch_kernel(low, "l0", cfg(4, 128), flops(1e8), {});
+  dev.launch_kernel(low, "l1", cfg(4, 128), flops(1e6), {});
+  dev.launch_kernel(high, "h0", cfg(4, 128), flops(1e6), {});
   dev.synchronize();
   ASSERT_EQ(order.size(), 3u);
   EXPECT_EQ(order[0], 'l');  // was already running
@@ -504,5 +515,150 @@ TEST(Engine, DeterministicReplay) {
   };
   EXPECT_EQ(run(), run());
 }
+
+// --- host executor ------------------------------------------------------------
+// SimDevice runs work functors on the host pool, ordered only by the
+// happens-before edges of the stream program; ReferenceEngine runs them
+// inline in completion order. Every test runs both with four host workers
+// and adds four independent busy streams, so the optimized engine's
+// segments start enough chains to run on every worker.
+
+class HostExecutor : public ::testing::TestWithParam<gpusim::EngineKind> {
+ protected:
+  void SetUp() override {
+    saved_workers_ = glp::parallel_workers();
+    glp::set_parallel_workers(4);
+    dev_ = gpusim::make_device_engine(gpusim::DeviceTable::p100(), GetParam());
+  }
+  void TearDown() override { glp::set_parallel_workers(saved_workers_); }
+
+  /// Independent functor work on four fresh streams (and fresh memory)
+  /// beside the program.
+  void add_bystander(int kernels) {
+    for (int lane = 0; lane < 4; ++lane) {
+      const auto s = dev_->create_stream();
+      std::vector<int>& out = bystanders_.emplace_back(static_cast<std::size_t>(kernels));
+      for (int i = 0; i < kernels; ++i) {
+        dev_->launch_kernel(s, "bystander", cfg(4, 128), flops(1e5),
+                            [&out, i] { out[static_cast<std::size_t>(i)] = i; });
+      }
+    }
+  }
+
+  std::unique_ptr<gpusim::DeviceEngine> dev_;
+  std::deque<std::vector<int>> bystanders_;  // stable element addresses
+
+ private:
+  int saved_workers_ = 1;
+};
+
+TEST_P(HostExecutor, WaitEventOrdersCrossStreamWrites) {
+  const auto producer = dev_->create_stream();
+  const auto consumer = dev_->create_stream();
+  constexpr int kRounds = 64;
+  std::vector<int> produced(kRounds, 0), seen(kRounds, -1);
+  add_bystander(kRounds);
+  for (int i = 0; i < kRounds; ++i) {
+    const auto k = static_cast<std::size_t>(i);
+    // The producer is slower than the consumer: only the event orders them.
+    dev_->launch_kernel(producer, "produce", cfg(8, 256), flops(1e8),
+                        [&produced, k, i] { produced[k] = i + 1; });
+    dev_->wait_event(consumer, dev_->record_event(producer));
+    dev_->launch_kernel(consumer, "consume", cfg(2, 64), flops(1e3),
+                        [&produced, &seen, k] { seen[k] = produced[k]; });
+  }
+  dev_->synchronize();
+  EXPECT_EQ(seen, produced);
+}
+
+TEST_P(HostExecutor, DefaultStreamBarrierOrdersWritesBothWays) {
+  const auto before = dev_->create_stream();
+  const auto after = dev_->create_stream();
+  constexpr int kRounds = 32;
+  std::vector<int> value(kRounds, 0), at_barrier(kRounds, -1),
+      after_barrier(kRounds, -1);
+  for (int i = 0; i < kRounds; ++i) {
+    const auto k = static_cast<std::size_t>(i);
+    dev_->launch_kernel(before, "write", cfg(8, 256), flops(1e7),
+                        [&value, k, i] { value[k] = 2 * i; });
+    add_bystander(4);
+    // The default-stream kernel sees the earlier write and makes its own,
+    // which the later stream's kernel sees.
+    dev_->launch_kernel(kDefaultStream, "barrier", cfg(2, 64), flops(1e3),
+                        [&value, &at_barrier, k] {
+                          at_barrier[k] = value[k];
+                          value[k] += 1;
+                        });
+    dev_->launch_kernel(after, "read", cfg(2, 64), flops(1e3),
+                        [&value, &after_barrier, k] { after_barrier[k] = value[k]; });
+  }
+  dev_->synchronize();
+  for (int i = 0; i < kRounds; ++i) {
+    EXPECT_EQ(at_barrier[static_cast<std::size_t>(i)], 2 * i);
+    EXPECT_EQ(after_barrier[static_cast<std::size_t>(i)], 2 * i + 1);
+  }
+}
+
+TEST_P(HostExecutor, HostCallbackSeesEveryEarlierFunctor) {
+  constexpr int kLanes = 4;
+  std::vector<int> written(kLanes, 0);
+  for (int l = 0; l < kLanes; ++l) {
+    const auto s = dev_->create_stream();
+    dev_->launch_kernel(s, "fast", cfg(2, 64), flops(1e4),
+                        [&written, l] { written[static_cast<std::size_t>(l)] = l + 1; });
+  }
+  // The callback's stream is independent of the lanes, but it starts
+  // after their kernels completed, so it must observe their writes.
+  const auto late = dev_->create_stream();
+  dev_->launch_kernel(late, "slow", cfg(8, 256), flops(1e9), {});
+  std::vector<int> observed;
+  dev_->host_callback(late, [&] { observed = written; });
+  dev_->synchronize();
+  EXPECT_EQ(observed, (std::vector<int>{1, 2, 3, 4}));
+}
+
+TEST_P(HostExecutor, AdvanceDeviceToRunsEveryCompletedFunctor) {
+  constexpr int kStreams = 4, kPerStream = 8;
+  std::map<std::uint64_t, std::size_t> index_of;  // correlation -> kernel
+  std::vector<std::uint64_t> completed;
+  dev_->set_kernel_callback(
+      [&](const gpusim::KernelRecord& rec) { completed.push_back(rec.correlation_id); });
+  std::vector<char> ran(kStreams * kPerStream, 0);
+  for (int s = 0; s < kStreams; ++s) {
+    const auto stream = dev_->create_stream();
+    for (int k = 0; k < kPerStream; ++k) {
+      const std::size_t i = static_cast<std::size_t>(s * kPerStream + k);
+      const auto corr = dev_->launch_kernel(
+          stream, "k", cfg(4 + static_cast<unsigned>(s), 128), flops(1e6 * (1 + k % 3)),
+          [&ran, i] { ran[i] = 1; });
+      index_of[corr] = i;
+    }
+  }
+  const gpusim::SimTime step = 2e3;
+  for (gpusim::SimTime t = step; completed.size() < ran.size(); t += step) {
+    dev_->advance_device_to(t);
+    std::vector<char> expect(ran.size(), 0);
+    for (const std::uint64_t corr : completed) expect[index_of.at(corr)] = 1;
+    ASSERT_EQ(ran, expect) << "after advance_device_to(" << t << ")";
+  }
+}
+
+TEST_P(HostExecutor, ThrowingFunctorSurfacesFromSynchronize) {
+  const auto failing = dev_->create_stream();
+  add_bystander(16);
+  dev_->launch_kernel(failing, "ok", cfg(4, 128), flops(1e5), [] {});
+  dev_->launch_kernel(failing, "bad", cfg(4, 128), flops(1e5),
+                      [] { throw glp::InvalidArgument("bad label"); });
+  EXPECT_THROW(dev_->synchronize(), glp::InvalidArgument);
+}
+
+INSTANTIATE_TEST_SUITE_P(BothEngines, HostExecutor,
+                         ::testing::Values(gpusim::EngineKind::kOptimized,
+                                           gpusim::EngineKind::kReference),
+                         [](const auto& info) {
+                           return info.param == gpusim::EngineKind::kOptimized
+                                      ? std::string("Optimized")
+                                      : std::string("Reference");
+                         });
 
 }  // namespace

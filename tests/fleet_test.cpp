@@ -220,11 +220,14 @@ TEST(FleetEngine, NonBlockingStreamEscapesDefaultBarrierOnBothEngines) {
     dev.launch_kernel(kDefaultStream, "busy", cfg(64, 256), flops(1e10), {});
     const auto nb = dev.create_stream(0, /*non_blocking=*/true);
     const auto bl = dev.create_stream(0, /*non_blocking=*/false);
+    // Completion times from the copy records: work functors run after
+    // the simulation step, so they cannot observe the device clock.
     SimTime nb_done = -1.0, bl_done = -1.0;
-    dev.memcpy_peer(nb, 64, 1, 1000.0, 2000.0,
-                    [&] { nb_done = dev.device_now(); });
-    dev.memcpy_peer(bl, 64, 1, 1000.0, 2000.0,
-                    [&] { bl_done = dev.device_now(); });
+    dev.set_copy_callback([&](const gpusim::CopyRecord& rec) {
+      (rec.stream == nb ? nb_done : bl_done) = rec.end_ns;
+    });
+    dev.memcpy_peer(nb, 64, 1, 1000.0, 2000.0);
+    dev.memcpy_peer(bl, 64, 1, 1000.0, 2000.0);
     dev.synchronize();
     // The non-blocking copy keeps its link-granted span; the blocking one
     // is admitted only after the default-stream barrier and completes no

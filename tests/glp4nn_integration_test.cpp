@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "common/check.hpp"
+#include "common/parallel.hpp"
 
 #include "minicaffe/models.hpp"
 #include "minicaffe/net_parser.hpp"
@@ -88,6 +89,27 @@ TEST(ConvergenceInvariance, FreeModeMatchesWithinFloatTolerance) {
     EXPECT_NEAR(serial_losses[i], glp_losses[i], 1e-3 + 1e-3 * serial_losses[i]);
   }
   EXPECT_LT(glptest::max_abs_diff(serial_w, glp_w), 1e-2);
+}
+
+TEST(ConvergenceInvariance, MoreLanesThanGradientSlotsStaysDeterministic) {
+  // 40 streams for batch 48: more lanes than the 32 shared gradient slots,
+  // so the conv layers grow their slots to one set per lane. Training is
+  // then race-free and bit-identical across host thread counts, and
+  // within float tolerance of serial.
+  Env serial;
+  const auto serial_w =
+      train_and_snapshot(serial.ec, mc::models::cifar10_quick(48), 2, nullptr);
+  const int saved_workers = glp::parallel_workers();
+  std::vector<std::vector<float>> wide_w;
+  for (const int workers : {1, 4}) {
+    glp::set_parallel_workers(workers);
+    Env wide(gpusim::DeviceTable::p100(), 40);
+    wide_w.push_back(
+        train_and_snapshot(wide.ec, mc::models::cifar10_quick(48), 2, nullptr));
+  }
+  glp::set_parallel_workers(saved_workers);
+  EXPECT_EQ(glptest::max_abs_diff(wide_w[0], wide_w[1]), 0.0);
+  EXPECT_LT(glptest::max_abs_diff(serial_w, wide_w[0]), 1e-2);
 }
 
 TEST(ConvergenceInvariance, ForwardPassBitIdenticalAnyStreams) {

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <mutex>
+
 #include "common/check.hpp"
 #include "common/rng.hpp"
 #include "core/task_graph.hpp"
@@ -138,7 +140,10 @@ TEST_P(TaskGraphProperty, RandomDagHonoursAllEdges) {
 
   TaskGraph g;
   const int n = 5 + static_cast<int>(rng.next_below(20));
+  // Tasks on unordered streams may finish concurrently on the host, so
+  // appends are serialized; the append order still reflects every edge.
   std::vector<int> finish_order;
+  std::mutex finish_mutex;
   std::vector<std::vector<int>> deps_of(static_cast<std::size_t>(n));
   for (int i = 0; i < n; ++i) {
     std::vector<int> deps;
@@ -148,7 +153,10 @@ TEST_P(TaskGraphProperty, RandomDagHonoursAllEdges) {
     deps_of[static_cast<std::size_t>(i)] = deps;
     g.add_task("t" + std::to_string(i),
                kernel_task(1e5 + static_cast<double>(rng.next_below(100)) * 1e5,
-                           [&finish_order, i] { finish_order.push_back(i); }),
+                           [&finish_order, &finish_mutex, i] {
+                             const std::scoped_lock lock(finish_mutex);
+                             finish_order.push_back(i);
+                           }),
                deps);
   }
   g.run(ctx, pool, kern::ComputeMode::kNumeric);

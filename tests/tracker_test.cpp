@@ -146,15 +146,18 @@ TEST_F(TrackerTest, SequentialScopesAccumulateCosts) {
 
 TEST_F(TrackerTest, MultiDeviceSessionsAreIndependent) {
   scuda::Context ctx2(gpusim::DeviceTable::k40c());
-  tracker.begin_profiling(ctx);
-  tracker.begin_profiling(ctx2);  // allowed: different device
+  // The fixture's tracker outlives ctx2 and would detach its session from
+  // a destroyed device, so this test uses one declared after ctx2.
+  ResourceTracker shared;
+  shared.begin_profiling(ctx);
+  shared.begin_profiling(ctx2);  // allowed: different device
   launch("on1", 4, 128);
   ctx2.device().launch_kernel(gpusim::kDefaultStream, "on2", cfg(4, 128),
                               {1e6, 1e6}, {});
   ctx.device().synchronize();
   ctx2.device().synchronize();
-  const ScopeProfile p1 = tracker.end_profiling(ctx, "a");
-  const ScopeProfile p2 = tracker.end_profiling(ctx2, "b");
+  const ScopeProfile p1 = shared.end_profiling(ctx, "a");
+  const ScopeProfile p2 = shared.end_profiling(ctx2, "b");
   ASSERT_EQ(p1.kernels.size(), 1u);
   ASSERT_EQ(p2.kernels.size(), 1u);
   EXPECT_EQ(p1.kernels[0].name, "on1");
