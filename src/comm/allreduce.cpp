@@ -72,6 +72,7 @@ gpusim::SimTime advance_until_event(gpusim::DeviceEngine& dev,
     dev.advance_device_to(next);
     GLP_CHECK_MSG(++spins < 1000000, "event co-sim loop is spinning");
   }
+  dev.drain_host_work();
   return dev.event_time(ev);
 }
 

@@ -39,7 +39,9 @@ BucketPlan plan_buckets(const mc::Net& net, std::size_t bucket_bytes);
 /// Drive `dev` forward until `ev` has completed and return its
 /// timestamp. Unlike synchronize_event this never joins the host clock
 /// to the device — it is the fleet co-simulator peeking, not the
-/// dispatch thread blocking.
+/// dispatch thread blocking. It does run every completed op's functor
+/// before returning, because collectives and the trainer read the host
+/// buffers those functors write.
 gpusim::SimTime advance_until_event(gpusim::DeviceEngine& dev,
                                     gpusim::EventId ev);
 

@@ -670,22 +670,17 @@ void SimDevice::defer_work(Op& op) {
 
 void SimDevice::drain_host_work() {
   if (!event_frontiers_.empty()) event_frontiers_.clear();
-  host_exec_.drain();
+  host_exec_.drain(stats_.functors_on_workers, stats_.functors_inline);
 }
 
-template <typename Loop>
-void SimDevice::then_drain(Loop&& loop) {
+void SimDevice::run_until(const std::function<bool()>& pred) {
   try {
-    loop();
+    run_loop_until(pred);
   } catch (...) {
     drain_host_work();
     throw;
   }
   drain_host_work();
-}
-
-void SimDevice::run_until(const std::function<bool()>& pred) {
-  then_drain([&] { run_loop_until(pred); });
   host_time_ = std::max(host_time_, now_);
 }
 
@@ -745,41 +740,38 @@ void SimDevice::run_loop_until(const std::function<bool()>& pred) {
 void SimDevice::advance_device_to(SimTime t) {
   // Lookahead for the serving event loop: drive the event loop until every
   // device-side event at or before `t` has been processed. Intentionally
-  // leaves the host clock untouched (restored below) — peeking at the
-  // device is not a synchronisation point.
+  // leaves the host clock untouched (restored below) and the completed
+  // functors pending — peeking at the device is not a synchronisation
+  // point, and pending functors make wider segments for the host pool.
   const SimTime saved_host = host_time_;
-  then_drain([&] {
-    int spins = 0;
-    for (;;) {
-      if (start_ready_ops()) {
-        spins = 0;
-        continue;
-      }
-      const SimTime next = next_event_time();
-      if (next > t) break;
-      GLP_CHECK(next >= now_);
-      if (next > now_) spins = 0;
-      else if (++spins > 100000) {
-        throw glp::InternalError("gpusim: lookahead event loop is spinning");
-      }
-      advance_to(next);
+  int spins = 0;
+  for (;;) {
+    if (start_ready_ops()) {
+      spins = 0;
+      continue;
     }
-    // Burn partial work down to exactly `t` so a later lookahead (or sync)
-    // resumes from a consistent fluid state.
-    if (t > now_ && (!resident_.empty() || !copies_.empty())) advance_to(t);
-  });
+    const SimTime next = next_event_time();
+    if (next > t) break;
+    GLP_CHECK(next >= now_);
+    if (next > now_) spins = 0;
+    else if (++spins > 100000) {
+      throw glp::InternalError("gpusim: lookahead event loop is spinning");
+    }
+    advance_to(next);
+  }
+  // Burn partial work down to exactly `t` so a later lookahead (or sync)
+  // resumes from a consistent fluid state.
+  if (t > now_ && (!resident_.empty() || !copies_.empty())) advance_to(t);
   host_time_ = saved_host;
 }
 
 SimTime SimDevice::peek_next_event() {
-  then_drain([&] {
-    int spins = 0;
-    while (start_ready_ops()) {
-      if (++spins > 100000) {
-        throw glp::InternalError("gpusim: peek_next_event is spinning");
-      }
+  int spins = 0;
+  while (start_ready_ops()) {
+    if (++spins > 100000) {
+      throw glp::InternalError("gpusim: peek_next_event is spinning");
     }
-  });
+  }
   return next_event_time();
 }
 

@@ -21,15 +21,19 @@
 // The host thread drives the simulation: launches enqueue work and
 // advance the host clock; synchronisation calls run the event loop until
 // the awaited condition holds. Host functors attached to kernels and
-// copies execute real math (the DNN layers' arithmetic). Every engine call
-// that runs the event loop (synchronize*, advance_device_to,
-// peek_next_event) returns only after the functor of every op completed so
-// far has run, and a host_callback sees every earlier completed functor's
-// writes. Within a call, SimDevice runs them on the glp::parallel_for pool
-// ordered only by the happens-before edges the simulation enforced —
-// stream order, event waits and default-stream barriers (see
-// host_executor.hpp) — so functors on independent streams run
-// concurrently on the host just as their kernels overlap on the device.
+// copies execute real math (the DNN layers' arithmetic). Every
+// synchronising call (synchronize*) and drain_host_work() returns only
+// after the functor of every op completed so far has run, and a
+// host_callback sees every earlier completed functor's writes. The
+// lookahead calls (advance_device_to, peek_next_event) only move the
+// device: SimDevice keeps the functors they complete pending, so a caller
+// that polls the device and then reads host memory (the serving loop, the
+// fleet co-simulator) calls drain_host_work() first. SimDevice runs
+// pending functors on the glp::parallel_for pool ordered only by the
+// happens-before edges the simulation enforced — stream order, event waits
+// and default-stream barriers (see host_executor.hpp) — so functors on
+// independent streams run concurrently on the host just as their kernels
+// overlap on the device.
 // ReferenceEngine runs them inline in simulated completion order, the
 // spec the parallel executor is checked against bit for bit. A functor
 // therefore must not read the engine's clocks. A stream-dependency bug
@@ -72,6 +76,11 @@ struct DeviceStats {
   double busy_lane_ns = 0.0;   ///< ∫ (occupied lanes) dt
   double active_ns = 0.0;      ///< time with ≥1 resident kernel
   double sim_span_ns = 0.0;    ///< total simulated time elapsed
+  /// Work functors run on the host pool's worker loops (wide segments)
+  /// and on the calling thread (cut vertices, narrow segments, and every
+  /// functor of ReferenceEngine).
+  std::uint64_t functors_on_workers = 0;
+  std::uint64_t functors_inline = 0;
 
   /// Mean fraction of lanes busy while the device was active.
   double mean_utilization(int total_lanes) const {
@@ -174,15 +183,20 @@ class DeviceEngine {
   /// Lookahead: run the device event loop up to device time `t`, so every
   /// completion (and event timestamp) at or before `t` becomes observable
   /// via event_complete/event_time. Unlike the synchronize_* calls this
-  /// does NOT join the host clock to the device — observing the device is
-  /// not a synchronisation point. Used by the serving event loop to poll
+  /// does NOT join the host clock to the device and need not run the
+  /// completed ops' functors — observing the device is not a
+  /// synchronisation point. Used by the serving event loop to poll
   /// in-flight batches without distorting host-side arrival timing.
   virtual void advance_device_to(SimTime t) = 0;
   /// Settle any ops that can start right now, then return the device time
   /// of the next pending event (+infinity when the device is idle). Lets
   /// the serving event loop advance exactly event-by-event instead of
-  /// guessing a horizon.
+  /// guessing a horizon. Like advance_device_to, it does not drain.
   virtual SimTime peek_next_event() = 0;
+  /// Run the functor of every op completed so far (already done on
+  /// ReferenceEngine, which runs them at completion). Call it after
+  /// lookahead and before reading memory those functors write.
+  virtual void drain_host_work() = 0;
 
   // --- clocks --------------------------------------------------------------
   /// Host-visible clock: advanced by launch overheads and by joining the
@@ -316,6 +330,8 @@ class SimDevice final : public DeviceEngine {
   bool stream_idle(StreamId stream) const override;
   void advance_device_to(SimTime t) override;
   SimTime peek_next_event() override;
+  /// Run every deferred functor; all frontiers are stale afterwards.
+  void drain_host_work() override;
 
  private:
   enum class OpKind : std::uint8_t {
@@ -409,13 +425,10 @@ class SimDevice final : public DeviceEngine {
   };
 
   void submit(Op op, SimTime host_cost_ns);
-  /// Run the event loop until `pred` holds, then the deferred functors.
+  /// Run the event loop until `pred` holds, then the deferred functors —
+  /// also when the loop throws.
   void run_until(const std::function<bool()>& pred);
   void run_loop_until(const std::function<bool()>& pred);
-  /// Run one event-loop entry point, then every deferred host functor —
-  /// also when the loop throws.
-  template <typename Loop>
-  void then_drain(Loop&& loop);
 
   /// Start every op that can start at the current sim time. Returns true
   /// if anything changed.
@@ -430,8 +443,6 @@ class SimDevice final : public DeviceEngine {
   void finish_kernel(std::size_t idx);
   /// Hand a completed kernel's or copy's functor to the host executor.
   void defer_work(Op& op);
-  /// Run every deferred functor; all frontiers are stale afterwards.
-  void drain_host_work();
   bool stream_live(StreamId stream) const {
     return stream >= 0 && static_cast<std::size_t>(stream) < streams_.size() &&
            streams_[static_cast<std::size_t>(stream)].live;

@@ -14,16 +14,22 @@ HostExecutor::NodeId HostExecutor::defer(InlineFn work, const Frontier& after) {
   const NodeId id = next_id();
   if (!segment_open_) {
     segments_.push_back(Segment{tasks_.size(), 0});
+    level_count_.clear();
     segment_base_ = id;
     segment_open_ = true;
   }
   const auto pred_begin = static_cast<std::uint32_t>(preds_.size());
+  std::uint32_t level = 0;
   for (const NodeId a : after) {
-    if (live(a)) preds_.push_back(a);
+    if (!live(a)) continue;
+    preds_.push_back(a);
+    level = std::max(level, tasks_[a - base_id_].level + 1);
   }
-  if (preds_.size() == pred_begin) ++segments_.back().sources;
+  if (level >= level_count_.size()) level_count_.resize(level + 1, 0);
+  Segment& seg = segments_.back();
+  seg.width = std::max(seg.width, ++level_count_[level]);
   tasks_.push_back(Task{std::move(work), pred_begin,
-                        static_cast<std::uint32_t>(preds_.size())});
+                        static_cast<std::uint32_t>(preds_.size()), level});
   return id;
 }
 
@@ -31,7 +37,7 @@ void HostExecutor::defer_barrier(InlineFn work) {
   cut();
   const auto p = static_cast<std::uint32_t>(preds_.size());
   segments_.push_back(Segment{tasks_.size(), 1});
-  tasks_.push_back(Task{std::move(work), p, p});
+  tasks_.push_back(Task{std::move(work), p, p, 0});
   cut();
 }
 
@@ -44,7 +50,8 @@ void HostExecutor::merge(Frontier& into, const Frontier& from) const {
   }
 }
 
-void HostExecutor::drain() {
+void HostExecutor::drain(std::uint64_t& ran_on_workers,
+                         std::uint64_t& ran_inline) {
   if (tasks_.empty()) return;
   // Whatever happens below, every deferred node is consumed: a throwing
   // functor drops the rest, exactly as an exception out of the event
@@ -65,13 +72,15 @@ void HostExecutor::drain() {
     const Segment& seg = segments_[k];
     const std::size_t end =
         k + 1 < segments_.size() ? segments_[k + 1].begin : tasks_.size();
-    if (workers < 2 || seg.sources < workers) {
-      // Cut vertices, chains and segments that start too few chains to
-      // occupy every worker run on the calling thread, where their math
-      // can still use the pool itself.
+    if (workers < 2 || seg.width < workers) {
+      // Cut vertices, chains and segments too narrow to occupy every
+      // worker run on the calling thread, where their math can still use
+      // the pool itself.
       for (std::size_t i = seg.begin; i < end; ++i) tasks_[i].work();
+      ran_inline += end - seg.begin;
     } else {
       run_parallel(seg.begin, end, workers);
+      ran_on_workers += end - seg.begin;
     }
   }
 }
@@ -93,11 +102,11 @@ void HostExecutor::run_parallel(std::size_t begin, std::size_t end,
   }
   for (std::size_t i = 0; i < n; ++i) succ_begin_[i + 1] += succ_begin_[i];
   succ_.resize(succ_begin_[n]);
-  std::vector<std::uint32_t> fill(succ_begin_.begin(), succ_begin_.end() - 1);
+  fill_.assign(succ_begin_.begin(), succ_begin_.end() - 1);
   for (std::size_t i = 0; i < n; ++i) {
     const Task& t = tasks_[begin + i];
     for (std::uint32_t p = t.pred_begin; p < t.pred_end; ++p) {
-      succ_[fill[preds_[p] - base]++] = static_cast<std::uint32_t>(i);
+      succ_[fill_[preds_[p] - base]++] = static_cast<std::uint32_t>(i);
     }
   }
 
@@ -105,7 +114,8 @@ void HostExecutor::run_parallel(std::size_t begin, std::size_t end,
   // simulated order as closely as the edges allow.
   std::mutex mutex;
   std::condition_variable cv;
-  std::vector<std::uint32_t> ready;
+  std::vector<std::uint32_t>& ready = ready_;
+  ready.clear();
   for (std::size_t i = 0; i < n; ++i) {
     if (indegree_[i] == 0) ready.push_back(static_cast<std::uint32_t>(i));
   }

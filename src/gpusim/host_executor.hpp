@@ -5,19 +5,25 @@
 // simulated completion. It hands the functor to this executor together
 // with the happens-before edges the engine enforced for the op — its
 // stream predecessor and the event waits in front of it (ops without work
-// forward theirs) — and default-stream ops cut the queue. Before an engine
-// call that ran the event loop returns, drain() runs every deferred
-// functor in an order consistent with those edges:
+// forward theirs) — and default-stream ops cut the queue. Deferred
+// functors run when drain() is called: by every synchronising engine call
+// and host_callback before it returns, and by drain_host_work(), which
+// callers of the non-synchronising lookahead (advance_device_to,
+// peek_next_event) use before they read host memory. drain() runs every
+// deferred functor in an order consistent with the edges:
 //  * a default-stream functor (a cut vertex) runs alone on the calling
 //    thread, so its math keeps the pool's intra-kernel parallelism;
-//  * between two cuts, a segment runs as worker loops inside one
-//    glp::parallel_for that pull ready nodes when it starts at least as
-//    many independent chains as the pool has workers, so independent
-//    lanes' functors overlap and their nested parallel_for calls run
-//    inline;
-//  * a narrower segment (one chain, or fewer chains than workers, like
-//    serving lookahead or a two-stream scope) runs inline in completion
-//    order and keeps intra-kernel parallelism instead.
+//  * between two cuts, a segment whose width — its largest topological
+//    level, a node's level being one more than its deepest in-segment
+//    predecessor's — is at least the pool's worker count runs as worker
+//    loops inside one glp::parallel_for that pull ready nodes, so
+//    independent lanes' functors overlap and their nested parallel_for
+//    calls run inline. A training scope forks its lanes off the default
+//    stream, so its width is its lane count; a serving batch is a chain
+//    of fork-join diamonds with one source, as wide as its widest scope;
+//  * a narrower segment (one chain, or fewer parallel lanes than workers,
+//    like a two-stream scope) runs inline in completion order and keeps
+//    intra-kernel parallelism instead.
 // Any two functors with conflicting memory accesses in a race-free stream
 // program are ordered by those edges, so every schedule produces the
 // bit-identical results of simulated-completion order.
@@ -57,19 +63,22 @@ class HostExecutor {
   /// Add the live entries of `from` to `into`, dropping stale ones.
   void merge(Frontier& into, const Frontier& from) const;
 
-  /// Run every deferred functor. If one throws, nodes not yet started are
-  /// dropped and the first exception is rethrown once none is running.
-  void drain();
+  /// Run every deferred functor, adding how many ran on worker loops and
+  /// how many on the calling thread to the two counters. If one throws,
+  /// nodes not yet started are dropped and the first exception is
+  /// rethrown once none is running.
+  void drain(std::uint64_t& ran_on_workers, std::uint64_t& ran_inline);
 
  private:
   struct Task {
     InlineFn work;
     std::uint32_t pred_begin = 0;  ///< range into preds_
     std::uint32_t pred_end = 0;
+    std::uint32_t level = 0;       ///< 0 without in-segment predecessors
   };
   struct Segment {
     std::size_t begin = 0;    ///< index of the first task
-    std::size_t sources = 0;  ///< tasks without in-segment predecessors
+    std::uint32_t width = 0;  ///< most tasks on one level
   };
 
   NodeId next_id() const { return base_id_ + tasks_.size(); }
@@ -83,10 +92,14 @@ class HostExecutor {
   NodeId segment_base_ = 1;      ///< first id of the open segment
   bool segment_open_ = false;
 
+  std::vector<std::uint32_t> level_count_;  ///< open segment's tasks per level
+
   // run_parallel scratch, reused across drains.
   std::vector<std::uint32_t> indegree_;
   std::vector<std::uint32_t> succ_begin_;
   std::vector<std::uint32_t> succ_;
+  std::vector<std::uint32_t> fill_;
+  std::vector<std::uint32_t> ready_;
 };
 
 }  // namespace gpusim

@@ -406,7 +406,10 @@ void ReferenceEngine::advance_to(SimTime t) {
     if (copies_[i].end_ns <= now_ + 1e-9) {
       ActiveCopy done = std::move(copies_[i]);
       copies_.erase(copies_.begin() + static_cast<std::ptrdiff_t>(i));
-      if (done.op.work) done.op.work();
+      if (done.op.work) {
+        done.op.work();
+        ++stats_.functors_inline;
+      }
       CopyRecord rec;
       rec.correlation_id = done.op.correlation;
       rec.stream = done.op.stream;
@@ -429,7 +432,10 @@ void ReferenceEngine::finish_kernel(std::size_t idx) {
   ActiveKernel done = std::move(resident_[idx]);
   resident_.erase(resident_.begin() + static_cast<std::ptrdiff_t>(idx));
 
-  if (done.op.work) done.op.work();
+  if (done.op.work) {
+    done.op.work();
+    ++stats_.functors_inline;
+  }
 
   KernelRecord rec;
   rec.correlation_id = done.op.correlation;

@@ -51,6 +51,8 @@ class ReferenceEngine final : public DeviceEngine {
   bool stream_idle(StreamId stream) const override;
   void advance_device_to(SimTime t) override;
   SimTime peek_next_event() override;
+  /// Functors already ran at completion.
+  void drain_host_work() override {}
 
  private:
   enum class OpKind : std::uint8_t {

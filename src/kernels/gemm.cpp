@@ -16,7 +16,7 @@
 
 #include <algorithm>
 #include <cstddef>
-#include <vector>
+#include <memory>
 
 #include "common/check.hpp"
 #include "common/parallel.hpp"
@@ -56,19 +56,17 @@ constexpr std::size_t kParallelWork = 1u << 18;
 // plain register-striding loops are faster.
 constexpr std::size_t kTiledWork = 1u << 14;
 
+// Left uninitialized: a tile writes every element it reads, and a
+// small product touches only the pages its panels cover, so a pool
+// thread's resident set grows with the GEMMs it actually runs.
 struct Scratch {
-  std::vector<float> a;  // MC x KC, MR-sliver packed
-  std::vector<float> b;  // KC x NC, NR-sliver packed
-  std::vector<float> c;  // MC x NC accumulator, microtile-major
+  std::unique_ptr<float[]> a{new float[std::size_t{MC} * KC]};  // MR-sliver packed
+  std::unique_ptr<float[]> b{new float[std::size_t{KC} * NC]};  // NR-sliver packed
+  std::unique_ptr<float[]> c{new float[std::size_t{MC} * NC]};  // microtile-major
 };
 
 Scratch& tls_scratch() {
   thread_local Scratch s;
-  if (s.a.empty()) {
-    s.a.resize(static_cast<std::size_t>(MC) * KC);
-    s.b.resize(static_cast<std::size_t>(KC) * NC);
-    s.c.resize(static_cast<std::size_t>(MC) * NC);
-  }
   return s;
 }
 
@@ -169,17 +167,17 @@ void compute_tile(const GemmArgs& g, int ic, int jc) {
   const int n_sub = std::min(NC, g.n - j0);
   const int n_ib = (m_sub + MR - 1) / MR;
   const int n_jb = (n_sub + NR - 1) / NR;
-  float* cl = s.c.data();
+  float* cl = s.c.get();
   std::fill(cl, cl + static_cast<std::size_t>(n_ib) * n_jb * MR * NR, 0.0f);
 
   for (int pc = 0; pc < g.k; pc += KC) {
     const int kc = std::min(KC, g.k - pc);
-    pack_a(g.trans_a, g.a, g.lda, i0, pc, m_sub, kc, s.a.data());
-    pack_b(g.trans_b, g.b, g.ldb, pc, j0, kc, n_sub, s.b.data());
+    pack_a(g.trans_a, g.a, g.lda, i0, pc, m_sub, kc, s.a.get());
+    pack_b(g.trans_b, g.b, g.ldb, pc, j0, kc, n_sub, s.b.get());
     for (int ib = 0; ib < n_ib; ++ib) {
       for (int jb = 0; jb < n_jb; ++jb) {
-        micro_kernel(kc, s.a.data() + static_cast<std::size_t>(ib) * kc * MR,
-                     s.b.data() + static_cast<std::size_t>(jb) * kc * NR,
+        micro_kernel(kc, s.a.get() + static_cast<std::size_t>(ib) * kc * MR,
+                     s.b.get() + static_cast<std::size_t>(jb) * kc * NR,
                      cl + static_cast<std::size_t>(ib * n_jb + jb) * MR * NR);
       }
     }
@@ -340,6 +338,24 @@ void small_gemm_rows(const GemmArgs& g, std::size_t i0, std::size_t i1) {
   }
 }
 
+/// Skinny-m shapes (m=1 FC rows): the microtile would spend most of its
+/// flops on zero padding, so partition the *columns* instead. This is
+/// also what lets a 1 x N product use every worker.
+void skinny_gemm(const GemmArgs& g) {
+  auto col_range = [&g](std::size_t c0, std::size_t c1) {
+    small_gemm_cols(g, c0, c1);
+  };
+  const std::size_t per_col =
+      static_cast<std::size_t>(g.m) * static_cast<std::size_t>(g.k);
+  if (per_col * static_cast<std::size_t>(g.n) >= kParallelWork) {
+    const std::size_t grain = std::max<std::size_t>(
+        NR, (std::size_t{1} << 16) / std::max<std::size_t>(1, per_col));
+    glp::parallel_for(0, static_cast<std::size_t>(g.n), col_range, grain);
+  } else {
+    col_range(0, static_cast<std::size_t>(g.n));
+  }
+}
+
 }  // namespace
 
 void gemm(bool trans_a, bool trans_b, int m, int n, int k, float alpha,
@@ -369,22 +385,16 @@ void gemm(bool trans_a, bool trans_b, int m, int n, int k, float alpha,
                            static_cast<std::size_t>(n) *
                            static_cast<std::size_t>(k);
 
+  if (n == 1 && ldc == 1 && (trans_b || ldb == 1)) {
+    // GEMV with contiguous x and y: y = op(A)·x is the 1 x m product
+    // xᵀ·op(A)ᵀ, whose column path runs vectorized dot products (A
+    // row-major) or axpys (A transposed) instead of m serial chains.
+    skinny_gemm(GemmArgs{false, !trans_a, 1, m, k, alpha, beta, b, k, a,
+                         lda, c, m});
+    return;
+  }
   if (m < MR && n >= NR) {
-    // Skinny-m shapes (m=1 FC rows): the microtile would spend most of
-    // its flops on zero padding, so partition the *columns* instead.
-    // This is also what lets a 1 x N product use every worker.
-    auto col_range = [&](std::size_t c0, std::size_t c1) {
-      small_gemm_cols(g, c0, c1);
-    };
-    if (work >= kParallelWork) {
-      const std::size_t per_col =
-          static_cast<std::size_t>(m) * static_cast<std::size_t>(k);
-      const std::size_t grain = std::max<std::size_t>(
-          NR, (std::size_t{1} << 16) / std::max<std::size_t>(1, per_col));
-      glp::parallel_for(0, static_cast<std::size_t>(n), col_range, grain);
-    } else {
-      col_range(0, static_cast<std::size_t>(n));
-    }
+    skinny_gemm(g);
     return;
   }
 

@@ -224,6 +224,14 @@ void InferenceServer::issue(Batch batch, gpusim::SimTime now) {
 
 bool InferenceServer::reap(std::vector<RequestRecord>& records) {
   gpusim::DeviceEngine& dev = ctx_->device();
+  if (std::none_of(inflight_.begin(), inflight_.end(), [&dev](const InFlight& f) {
+        return dev.event_complete(f.done);
+      })) {
+    return false;
+  }
+  // Lookahead leaves completed functors pending; run them before reading
+  // any output or handing a replica's buffers to the next batch.
+  dev.drain_host_work();
   bool any = false;
   for (auto it = inflight_.begin(); it != inflight_.end();) {
     if (!dev.event_complete(it->done)) {
@@ -270,10 +278,8 @@ bool InferenceServer::reap(std::vector<RequestRecord>& records) {
   return any;
 }
 
-gpusim::SimTime InferenceServer::earliest_completion(gpusim::SimTime from,
-                                                     gpusim::SimTime cap) {
+gpusim::SimTime InferenceServer::earliest_completion(gpusim::SimTime cap) {
   GLP_CHECK(!inflight_.empty());
-  (void)from;
   gpusim::DeviceEngine& dev = ctx_->device();
   // Step the device exactly event-by-event so it is never advanced past
   // the completion we report — overshooting would delay the start of
@@ -405,7 +411,7 @@ std::vector<RequestRecord> InferenceServer::replay(
 
     gpusim::SimTime wake = next_t;
     if (!inflight_.empty()) {
-      const gpusim::SimTime comp = earliest_completion(now, next_t);
+      const gpusim::SimTime comp = earliest_completion(next_t);
       wake = std::min(wake, std::max(comp, now));
     }
     GLP_CHECK(wake < kInf);  // otherwise the queue can never drain

@@ -186,8 +186,12 @@ class InferenceServer {
   std::optional<Outcome> admit(Shard& shard, InferenceRequest& r,
                                gpusim::SimTime now);
   void issue(Batch batch, gpusim::SimTime now);
+  /// Record every completed batch's requests and free its slot and
+  /// replica; the point where batch outputs become visible on the host.
   bool reap(std::vector<RequestRecord>& records);
-  gpusim::SimTime earliest_completion(gpusim::SimTime from, gpusim::SimTime cap);
+  /// Device time of the first in-flight batch completion at or before
+  /// `cap` (+infinity if none), stepping the device event by event.
+  gpusim::SimTime earliest_completion(gpusim::SimTime cap);
 
   scuda::Context* ctx_;
   ServerOptions opts_;

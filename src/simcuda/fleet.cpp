@@ -30,10 +30,6 @@ void Fleet::synchronize_all() {
   for (auto& dev : devices_) dev->device().synchronize();
 }
 
-void Fleet::advance_all_to(gpusim::SimTime t) {
-  for (auto& dev : devices_) dev->device().advance_device_to(t);
-}
-
 gpusim::SimTime Fleet::max_device_now() const {
   gpusim::SimTime t = 0.0;
   for (const auto& dev : devices_)

@@ -57,9 +57,6 @@ class Fleet {
   /// spans before this is called).
   void synchronize_all();
 
-  /// Advance every device's simulated clock to at least `t`.
-  void advance_all_to(gpusim::SimTime t);
-
   /// Max of the per-device clocks — the fleet-wide makespan so far.
   gpusim::SimTime max_device_now() const;
 

@@ -81,6 +81,23 @@ TEST(Determinism, GemmSingleRowParallelizesOverColumns) {
   });
 }
 
+TEST(Determinism, GemvBothTransposes) {
+  // The n=1 products (fully-connected layers of one sample, bias
+  // gradients) run as 1 x m column-partitioned products.
+  const int m = 256, k = 2048;
+  const auto a = random_vec(static_cast<std::size_t>(m) * k, 41);
+  const auto x = random_vec(k, 42);
+  const auto y0 = random_vec(m, 43);
+  for (bool ta : {false, true}) {
+    expect_bitwise_invariant([&] {
+      std::vector<float> y = y0;
+      cpu::gemm(ta, false, m, 1, k, 0.5f, a.data(), ta ? m : k, x.data(), 1,
+                1.0f, y.data(), 1);
+      return y;
+    });
+  }
+}
+
 TEST(Determinism, GemmAccumulatingBeta) {
   const int m = 96, n = 160, k = 64;
   const auto a = random_vec(static_cast<std::size_t>(m) * k, 31);

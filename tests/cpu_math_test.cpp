@@ -138,6 +138,45 @@ TEST(Gemm, ParallelPathMatchesSerial) {
   }
 }
 
+// GEMV (n == 1): y = alpha * op(A) * x + beta * y in both transposes of A,
+// with x stored as a column (ldb 1) or a row (trans_b) and y contiguous or
+// strided, at a parallel fully-connected shape and at tiny ones.
+TEST(Gemm, GemvMatchesReference) {
+  struct Shape {
+    int m, k;
+  };
+  const Shape shapes[] = {{256, 2048}, {1, 1}, {3, 5}, {7, 2}, {10, 64}};
+  glp::Rng rng(4242);
+  for (const Shape& s : shapes) {
+    for (bool ta : {false, true}) {
+      for (bool tb : {false, true}) {
+        for (int ldc : {1, 3}) {
+          for (float beta : {0.0f, 1.5f}) {
+            const int lda = ta ? s.m : s.k;
+            const int ldb = tb ? s.k : 1;
+            std::vector<float> a(static_cast<std::size_t>(s.m) * s.k);
+            std::vector<float> x(static_cast<std::size_t>(s.k));
+            std::vector<float> y(static_cast<std::size_t>(s.m) * ldc);
+            for (float& v : a) v = rng.uniform(-1, 1);
+            for (float& v : x) v = rng.uniform(-1, 1);
+            for (float& v : y) v = rng.uniform(-1, 1);
+            std::vector<float> expect = y;
+            cpu::gemm(ta, tb, s.m, 1, s.k, 0.5f, a.data(), lda, x.data(), ldb,
+                      beta, y.data(), ldc);
+            ref_gemm(ta, tb, s.m, 1, s.k, 0.5f, a.data(), lda, x.data(), ldb,
+                     beta, expect.data(), ldc);
+            for (std::size_t i = 0; i < y.size(); ++i) {
+              ASSERT_NEAR(y[i], expect[i], 1e-3f * (std::abs(expect[i]) + 1.0f))
+                  << "m=" << s.m << " k=" << s.k << " ta=" << ta << " tb=" << tb
+                  << " ldc=" << ldc << " beta=" << beta << " at " << i;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
 // --- vector ops -----------------------------------------------------------------
 
 TEST(VectorOps, Axpy) {

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <deque>
 #include <map>
 #include <memory>
@@ -519,9 +520,9 @@ TEST(Engine, DeterministicReplay) {
 // --- host executor ------------------------------------------------------------
 // SimDevice runs work functors on the host pool, ordered only by the
 // happens-before edges of the stream program; ReferenceEngine runs them
-// inline in completion order. Every test runs both with four host workers
-// and adds four independent busy streams, so the optimized engine's
-// segments start enough chains to run on every worker.
+// inline in completion order. Every test runs both with four host workers.
+// Most add four independent busy streams, so the optimized engine's
+// segments are wide enough to run on every worker.
 
 class HostExecutor : public ::testing::TestWithParam<gpusim::EngineKind> {
  protected:
@@ -617,7 +618,7 @@ TEST_P(HostExecutor, HostCallbackSeesEveryEarlierFunctor) {
   EXPECT_EQ(observed, (std::vector<int>{1, 2, 3, 4}));
 }
 
-TEST_P(HostExecutor, AdvanceDeviceToRunsEveryCompletedFunctor) {
+TEST_P(HostExecutor, DrainAfterLookaheadRunsEveryCompletedFunctor) {
   constexpr int kStreams = 4, kPerStream = 8;
   std::map<std::uint64_t, std::size_t> index_of;  // correlation -> kernel
   std::vector<std::uint64_t> completed;
@@ -635,12 +636,69 @@ TEST_P(HostExecutor, AdvanceDeviceToRunsEveryCompletedFunctor) {
     }
   }
   const gpusim::SimTime step = 2e3;
+  std::vector<char> drained(ran.size(), 0);  // completed by the last drain
   for (gpusim::SimTime t = step; completed.size() < ran.size(); t += step) {
     dev_->advance_device_to(t);
-    std::vector<char> expect(ran.size(), 0);
-    for (const std::uint64_t corr : completed) expect[index_of.at(corr)] = 1;
-    ASSERT_EQ(ran, expect) << "after advance_device_to(" << t << ")";
+    if (GetParam() == gpusim::EngineKind::kOptimized) {
+      // Lookahead is not a synchronisation point: what it completed stays
+      // pending until the caller drains.
+      ASSERT_EQ(ran, drained) << "after advance_device_to(" << t << ")";
+    }
+    dev_->drain_host_work();
+    for (const std::uint64_t corr : completed) drained[index_of.at(corr)] = 1;
+    ASSERT_EQ(ran, drained) << "after draining at " << t;
   }
+}
+
+TEST_P(HostExecutor, ForkJoinDiamondRunsOnWorkersAndChainStaysInline) {
+  // Each functor counts the chunks of a nested four-index parallel_for:
+  // one chunk when it runs inside a worker loop (the pool is not
+  // reentrant), four when it runs on the caller with the pool to itself.
+  std::atomic<int> chunks{0};
+  const auto work = [&chunks] {
+    glp::parallel_for(
+        0, 4, [&chunks](std::size_t, std::size_t) { ++chunks; }, /*grain=*/1);
+  };
+  // Diamond: one root, four lanes of two kernels, one join — one source
+  // but four lanes wide.
+  constexpr int kLanes = 4, kPerLane = 2;
+  const auto home = dev_->create_stream();
+  dev_->launch_kernel(home, "root", cfg(4, 128), flops(1e5), work);
+  const auto forked = dev_->record_event(home);
+  std::vector<gpusim::EventId> joins;
+  for (int l = 0; l < kLanes; ++l) {
+    const auto lane = dev_->create_stream();
+    dev_->wait_event(lane, forked);
+    for (int k = 0; k < kPerLane; ++k) {
+      dev_->launch_kernel(lane, "lane", cfg(4, 128), flops(1e5), work);
+    }
+    joins.push_back(dev_->record_event(lane));
+  }
+  for (const auto ev : joins) dev_->wait_event(home, ev);
+  dev_->launch_kernel(home, "join", cfg(4, 128), flops(1e5), work);
+  dev_->synchronize();
+  constexpr int kDiamond = 1 + kLanes * kPerLane + 1;
+  const gpusim::DeviceStats diamond = dev_->stats();
+  EXPECT_EQ(diamond.functors_on_workers + diamond.functors_inline,
+            std::uint64_t{kDiamond});
+  const bool optimized = GetParam() == gpusim::EngineKind::kOptimized;
+  if (optimized) {
+    EXPECT_EQ(diamond.functors_on_workers, std::uint64_t{kDiamond});
+    EXPECT_EQ(chunks.load(), kDiamond);
+  }
+
+  // A single long chain stays on the caller and keeps intra-kernel threads.
+  dev_->reset_stats();
+  chunks = 0;
+  constexpr int kChain = 16;
+  const auto chain = dev_->create_stream();
+  for (int k = 0; k < kChain; ++k) {
+    dev_->launch_kernel(chain, "chain", cfg(4, 128), flops(1e5), work);
+  }
+  dev_->synchronize();
+  EXPECT_EQ(dev_->stats().functors_on_workers, 0u);
+  EXPECT_EQ(dev_->stats().functors_inline, std::uint64_t{kChain});
+  EXPECT_EQ(chunks.load(), 4 * kChain);
 }
 
 TEST_P(HostExecutor, ThrowingFunctorSurfacesFromSynchronize) {

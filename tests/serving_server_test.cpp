@@ -7,7 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <map>
+#include <memory>
 #include <set>
 
 #include "serving/model_zoo.hpp"
@@ -86,6 +88,58 @@ TEST(InferenceServer, ServesEveryAdmittedRequest) {
     EXPECT_EQ(ts.batches, ids.size());
     EXPECT_GE(ts.mean_batch, 1.0);
   }
+}
+
+// Outputs become visible at reap. Every served output must equal a
+// batch-1 forward of the same sample that was run to a synchronize. A
+// replay that read outputs before their work functors ran would return
+// the replica's stale buffer. Comparing two replays cannot catch that,
+// because both of them would be stale.
+TEST(InferenceServer, ServedOutputsMatchSynchronizedBatchOneForwards) {
+  const auto models = two_tenants();
+  serving::TraceSpec ts;
+  ts.requests = 40;
+  ts.rate_rps = 8000.0;
+  ts.tenants = 2;
+  ts.seed = glptest::test_seed(17);
+  GLP_SCOPED_SEED(ts.seed);
+  const auto trace = serving::make_trace(ts, sizes_of(models));
+  std::map<std::uint64_t, const serving::InferenceRequest*> by_id;
+  for (const auto& r : trace) by_id[r.id] = &r;
+
+  scuda::Context ctx(gpusim::DeviceTable::p100());
+  serving::ServerOptions opts;
+  opts.queue_capacity = 64;
+  opts.keep_outputs = true;
+  serving::InferenceServer server(ctx, models, opts);
+  const auto records = server.replay(trace);
+
+  scuda::Context ref_ctx(gpusim::DeviceTable::p100());
+  kern::SerialDispatcher dispatcher(ref_ctx);
+  const gpusim::StreamId home = scuda::Stream(ref_ctx).id();
+  std::vector<std::unique_ptr<serving::InferenceSession>> sessions;
+  for (std::size_t t = 0; t < models.size(); ++t) {
+    serving::SessionOptions so;
+    so.name_prefix = "t" + std::to_string(t) + ":";
+    sessions.push_back(std::make_unique<serving::InferenceSession>(
+        ref_ctx, dispatcher, models[t].spec, so));
+  }
+  std::size_t checked = 0;
+  for (const auto& rec : records) {
+    ASSERT_EQ(rec.outcome, serving::Outcome::kServed);
+    serving::InferenceSession& sess = *sessions[static_cast<std::size_t>(rec.tenant)];
+    serving::InferenceSession::Replica& r = sess.checkout(1);
+    sess.run_batch(r, {by_id.at(rec.id)->input.data()}, home);
+    ref_ctx.device().synchronize();
+    ASSERT_EQ(rec.output.size(), sess.sample_output_size());
+    EXPECT_EQ(0, std::memcmp(rec.output.data(), sess.output_of(r, 0),
+                             rec.output.size() * sizeof(float)))
+        << "request " << rec.id << " (batch of " << rec.batch_size
+        << ") differs from its batch-1 forward";
+    sess.release(r);
+    ++checked;
+  }
+  EXPECT_EQ(checked, trace.size());
 }
 
 TEST(InferenceServer, CompletionsNeverReorderWithinATenant) {
