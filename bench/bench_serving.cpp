@@ -50,7 +50,6 @@ serving::ServingStats replay_once(const gpusim::DeviceProps& props,
   scuda::Context ctx(props);
   serving::ServerOptions opts;
   opts.use_scheduler = cfg.mode == "glp4nn";
-  opts.batch.enabled = cfg.batcher;
   opts.batch.mode = cfg.batch_mode;
   opts.coalesce_lanes = cfg.coalesce;
   if (cfg.batch_mode == serving::BatchMode::kContinuous) {
@@ -58,6 +57,11 @@ serving::ServingStats replay_once(const gpusim::DeviceProps& props,
     opts.queue_capacity = 512;   // per tenant shard
   } else {
     opts.queue_capacity = 256;
+  }
+  if (!cfg.batcher) {
+    // Batcher off: every request is its own batch, cut immediately.
+    opts.batch.mode = serving::BatchMode::kContinuous;
+    opts.batch.max_batch = 1;
   }
   opts.mode = kern::ComputeMode::kTimingOnly;
   serving::InferenceServer server(ctx, models, opts);

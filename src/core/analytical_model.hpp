@@ -37,15 +37,4 @@ class AnalyticalModel {
   gpusim::DeviceProps props_;
 };
 
-/// Alternative model (paper §6 future work: "improve the performance of
-/// the analytical model"): identical constraints, but the objective
-/// weights each kernel's occupancy contribution by its measured duration
-/// T_K — long kernels dominate a scope's makespan, so their overlap
-/// matters more than that of sub-launch-gap kernels. Plug into a
-/// KernelAnalyzer via set_model. Compared against the paper's objective
-/// in bench_ablation_model.
-ConcurrencyDecision analyze_duration_weighted(
-    const gpusim::DeviceProps& props, const std::string& scope,
-    const std::vector<KernelStats>& kernels);
-
 }  // namespace glp4nn

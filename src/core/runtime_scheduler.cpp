@@ -5,9 +5,46 @@
 
 #include "common/check.hpp"
 #include "common/timer.hpp"
-#include "core/task_graph.hpp"
 
 namespace glp4nn {
+
+namespace {
+
+// DAG helpers over an adjacency list `deps` (deps[i] lists the
+// predecessors of op i, built in topological order).
+
+/// Rejects any edge that does not point to an earlier op.
+void require_backward_edges(const std::vector<std::vector<int>>& deps) {
+  for (std::size_t i = 0; i < deps.size(); ++i) {
+    for (int dep : deps[i]) {
+      GLP_REQUIRE(dep >= 0 && static_cast<std::size_t>(dep) < i,
+                  "node " << i << " depends on unknown/later node " << dep);
+    }
+  }
+}
+
+/// Dense transitive closure: reach[a][b] is true iff a == b or there is a
+/// directed path a → b. Quadratic memory — DAGs here are layer graphs
+/// (tens of nodes), not kernel graphs.
+std::vector<std::vector<bool>> reachability(
+    const std::vector<std::vector<int>>& deps) {
+  // Nodes are in topological order, so one forward sweep accumulating
+  // each node's ancestor rows suffices.
+  const std::size_t n = deps.size();
+  std::vector<std::vector<bool>> reach(n, std::vector<bool>(n, false));
+  for (std::size_t b = 0; b < n; ++b) {
+    reach[b][b] = true;
+    for (int dep : deps[b]) {
+      const auto a = static_cast<std::size_t>(dep);
+      for (std::size_t r = 0; r <= a; ++r) {
+        if (reach[r][a]) reach[r][b] = true;
+      }
+    }
+  }
+  return reach;
+}
+
+}  // namespace
 
 RuntimeScheduler::RuntimeScheduler(scuda::Context& ctx, ResourceTracker& tracker,
                                    KernelAnalyzer& analyzer,
@@ -143,7 +180,7 @@ std::vector<gpusim::StreamId> RuntimeScheduler::acquire_scope_pool(int count) {
       return std::vector<gpusim::StreamId>(1, serial_stream());
     }
   }
-  if (options_.policy == DispatchPolicy::kTenantSliced && tenant_active_) {
+  if (tenant_active_) {
     // Slice geometry is uniform across scopes: slot s always owns
     // streams [s*W, (s+1)*W) with W = clamped device concurrency /
     // num_slots — independent of this scope's analyzer decision.
@@ -171,20 +208,7 @@ kern::Lane RuntimeScheduler::task_lane(std::size_t index) {
     return kern::Lane{gpusim::kDefaultStream, 0};
   }
   glp::WallTimer timer;
-  std::size_t lane = 0;
-  const std::size_t pool_size = pool_.size();
-  switch (options_.policy) {
-    case DispatchPolicy::kRoundRobin:
-    case DispatchPolicy::kTenantSliced:  // round-robin within the slice
-      lane = index % pool_size;
-      break;
-    case DispatchPolicy::kBlockCyclic: {
-      const std::size_t block =
-          (current_tasks_ + pool_size - 1) / pool_size;  // ceil
-      lane = std::min(index / std::max<std::size_t>(block, 1), pool_size - 1);
-      break;
-    }
-  }
+  const std::size_t lane = index % pool_.size();
   scheduling_ms_ += timer.elapsed_ms();
   return kern::Lane{pool_[lane], static_cast<int>(lane)};
 }
@@ -273,7 +297,6 @@ void RuntimeScheduler::maybe_joint_decide(const ScopeProfile& profile) {
   }
   const std::vector<const ConcurrencyDecision*> joint =
       analyzer_->decide_joint(group);
-  if (joint.empty()) return;  // custom model: solo decisions stand
   ++dag_joint_groups_;
   // Charge the joint analysis to the simulated host clock like the solo
   // analysis above (pinned charge keeps deterministic timelines). The
@@ -296,7 +319,7 @@ std::vector<kern::DagPlacement> RuntimeScheduler::plan_dag(
     deps[i] = ops[i].deps;
     std::sort(deps[i].begin(), deps[i].end());
   }
-  task_consumers(deps);  // validates every edge points backwards
+  require_backward_edges(deps);
 
   // 1. Chain decomposition: an op joins its highest-indexed dependency's
   // chain when it is the first op to extend it (same-chain edges ride
@@ -323,7 +346,7 @@ std::vector<kern::DagPlacement> RuntimeScheduler::plan_dag(
   // 2. Which chains can overlap in time? Two ops are concurrent iff
   // neither reaches the other; two chains conflict iff any of their ops
   // are concurrent.
-  const std::vector<std::vector<bool>> reach = task_reachability(deps);
+  const std::vector<std::vector<bool>> reach = reachability(deps);
   std::vector<std::vector<int>> chain_ops(
       static_cast<std::size_t>(num_chains));
   for (std::size_t i = 0; i < n; ++i) {

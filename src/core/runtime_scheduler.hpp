@@ -14,9 +14,9 @@
 //   afterwards — STEADY: round-robin tasks over the scope's stream pool;
 //     end_scope posts an asynchronous default-stream barrier.
 //
-// Options cover the ablations DESIGN.md lists: dispatch policy, a stream
-// cap, strict-repro pool rounding (bit-identical training), and a fixed
-// pool size that bypasses the model (the Fig. 2/4 manual baseline).
+// Options: a stream cap, strict-repro pool rounding (bit-identical
+// training), a fixed pool size that bypasses the model (the Fig. 2/4
+// manual baseline) and the profiling-overhead charge.
 
 #include <map>
 #include <set>
@@ -29,24 +29,15 @@
 
 namespace glp4nn {
 
-enum class DispatchPolicy {
-  kRoundRobin,   ///< task i → stream (i mod S) — the paper's policy
-  kBlockCyclic,  ///< contiguous blocks of tasks per stream (ablation)
-  /// Multi-tenant serving: with a TenantContext set, the clamped device
-  /// concurrency degree is divided into one fixed-width slice per
-  /// in-flight batch slot and the scope runs on its slot's slice (the
-  /// analyzer's decision only shrinks the streams used *within* the
-  /// slice), round-robin within the slice. Slice boundaries are
-  /// independent of per-scope decisions, so concurrent slots can never
-  /// hand out overlapping stream ranges. Without a tenant this behaves
-  /// exactly like kRoundRobin.
-  kTenantSliced,
-};
-
 /// Ambient multi-tenant context for serving. While one is set on the
-/// scheduler, steady scopes run on the tenant's slice of the stream pool
-/// and fork/join against the batch's *home stream* instead of the
-/// device-wide default-stream barrier, so concurrent batches overlap.
+/// scheduler, the clamped device concurrency degree is divided into one
+/// fixed-width slice per in-flight batch slot and each steady scope runs
+/// round-robin on its slot's slice (the analyzer's decision only shrinks
+/// the streams used *within* the slice). Slice boundaries are independent
+/// of per-scope decisions, so concurrent slots never hand out overlapping
+/// stream ranges. Scopes fork/join against the batch's *home stream*
+/// instead of the device-wide default-stream barrier, so concurrent
+/// batches overlap.
 struct TenantContext {
   int tenant = 0;     ///< tag for the simulated timeline (≥ 0)
   int priority = 0;   ///< stream priority for the tenant's slice
@@ -56,7 +47,6 @@ struct TenantContext {
 };
 
 struct SchedulerOptions {
-  DispatchPolicy policy = DispatchPolicy::kRoundRobin;
   /// Cap on the analyzer's stream count (0 = device concurrency degree).
   int max_streams = 0;
   /// Round pool sizes down to a divisor of 32 so gradient-slot order is
@@ -130,8 +120,8 @@ class RuntimeScheduler final : public kern::KernelDispatcher {
 
   // --- multi-tenant serving ------------------------------------------------
   /// Set the tenant context for subsequently issued scopes (must not be
-  /// called mid-scope). Under DispatchPolicy::kTenantSliced this routes
-  /// the scope onto the tenant's stream-pool slice.
+  /// called mid-scope); it routes them onto the tenant's stream-pool
+  /// slice.
   void set_tenant(const TenantContext& tenant);
   /// Clear the tenant context (must not be called mid-scope).
   void clear_tenant();
@@ -163,8 +153,8 @@ class RuntimeScheduler final : public kern::KernelDispatcher {
   /// Acquire a pool of `count` streams, degrading the current scope to
   /// serial dispatch when stream creation fails (injected fault).
   std::vector<gpusim::StreamId> acquire_pool(int count);
-  /// Pool for the current scope: the tenant's slice under kTenantSliced
-  /// with an active tenant, the shared pool otherwise.
+  /// Pool for the current scope: the bound DAG op's or the active
+  /// tenant's slice, the shared pool otherwise.
   std::vector<gpusim::StreamId> acquire_scope_pool(int count);
   /// Stream a degraded (serial) scope runs on: the bound DAG op's or the
   /// tenant's home stream when one is active, else the default stream.

@@ -17,10 +17,8 @@ DynamicBatcher::DynamicBatcher(BatchPolicy policy, std::uint64_t first_id,
 std::optional<Batch> DynamicBatcher::try_form(
     RequestQueue& queue, gpusim::SimTime now,
     const std::function<bool(int)>& slot_free) {
-  const std::size_t width =
-      policy_.enabled ? static_cast<std::size_t>(policy_.max_batch) : 1;
-  const bool continuous =
-      !policy_.enabled || policy_.mode == BatchMode::kContinuous;
+  const std::size_t width = static_cast<std::size_t>(policy_.max_batch);
+  const bool continuous = policy_.mode == BatchMode::kContinuous;
   // Tenants in arrival order of their oldest request: the first *ready*
   // tenant is the one whose batch has waited longest.
   for (const int tenant : queue.tenants_by_oldest()) {
@@ -46,8 +44,7 @@ std::optional<Batch> DynamicBatcher::try_form(
 
 gpusim::SimTime DynamicBatcher::next_cut_ns(RequestQueue& queue) const {
   gpusim::SimTime t = std::numeric_limits<gpusim::SimTime>::infinity();
-  const bool continuous =
-      !policy_.enabled || policy_.mode == BatchMode::kContinuous;
+  const bool continuous = policy_.mode == BatchMode::kContinuous;
   for (const int tenant : queue.tenants_by_oldest()) {
     const InferenceRequest* head = queue.oldest(tenant);
     GLP_CHECK(head != nullptr);

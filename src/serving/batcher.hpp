@@ -6,8 +6,7 @@
 //  * kWindowed (the classic fixed-window policy) — a tenant whose
 //    execution slot is free cuts a batch when
 //      - it has max_batch queued requests (full batch), or
-//      - its oldest queued request has waited max_delay_us (timeout), or
-//      - batching is disabled (every request is its own batch, immediately).
+//      - its oldest queued request has waited max_delay_us (timeout).
 //
 //  * kContinuous — a batch launches the moment capacity frees: a tenant
 //    whose slot is free cuts min(queued, max_batch) immediately, with no
@@ -17,6 +16,9 @@
 //    instead of waiting out a timer. This removes the windowed policy's
 //    queueing cliff: under light load requests never idle in the queue,
 //    and under heavy load batches are as large as the backlog allows.
+//
+// Unbatched serving is {kContinuous, max_batch = 1}: every request is
+// its own batch, cut the moment its tenant's slot is free.
 //
 // Requests are taken strictly in arrival order per tenant, and tenants
 // are considered in the arrival order of their oldest queued request, so
@@ -45,7 +47,6 @@ inline const char* batch_mode_name(BatchMode m) {
 }
 
 struct BatchPolicy {
-  bool enabled = true;  ///< false → batch size 1, no artificial delay
   BatchMode mode = BatchMode::kWindowed;
   int max_batch = 8;
   double max_delay_us = 2000.0;  ///< max wait for a batch to fill (windowed)

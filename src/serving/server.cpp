@@ -44,9 +44,7 @@ InferenceServer::InferenceServer(scuda::Context& ctx,
   opts_.slots = std::min(opts_.slots, static_cast<int>(models_.size()));
 
   if (opts_.use_scheduler) {
-    glp4nn::SchedulerOptions sopts = opts_.scheduler;
-    sopts.policy = glp4nn::DispatchPolicy::kTenantSliced;
-    engine_ = std::make_unique<glp4nn::Glp4nnEngine>(sopts);
+    engine_ = std::make_unique<glp4nn::Glp4nnEngine>(opts_.scheduler);
     sched_ = &engine_->scheduler_for(*ctx_);
     dispatcher_ = sched_;
   } else {
@@ -118,8 +116,7 @@ void InferenceServer::prewarm() {
 
 void InferenceServer::warmup() {
   std::vector<int> sizes{1};
-  const int top =
-      opts_.batch.enabled ? replica_batch_for(opts_.batch.max_batch) : 1;
+  const int top = replica_batch_for(opts_.batch.max_batch);
   for (int b = 2; b <= top; b <<= 1) sizes.push_back(b);
   gpusim::DeviceEngine& dev = ctx_->device();
   for (int t = 0; t < tenants(); ++t) {

@@ -4,7 +4,7 @@
 // RequestQueue, a DynamicBatcher, a token-bucket QoS meter and a service
 // time estimate, so tenants never contend on a shared queue — and
 // `slots` concurrent in-flight batch slots, each a dedicated home
-// stream. Under the GLP4NN scheduler (DispatchPolicy::kTenantSliced)
+// stream. Under the GLP4NN scheduler (a TenantContext per batch)
 // every in-flight batch runs its per-sample scopes on a disjoint slice
 // of the stream pool and forks/joins against its slot's home stream, so
 // batches from different tenants overlap on the device; the serial
@@ -74,10 +74,10 @@ struct ServerOptions {
   AdmissionOptions admission;
   int slots = 4;                    ///< concurrent in-flight batch slots
   std::size_t queue_capacity = 64;  ///< admission bound *per tenant shard*
-  /// true: GLP4NN RuntimeScheduler (kTenantSliced); false: serial
+  /// true: GLP4NN RuntimeScheduler (tenant-sliced pools); false: serial
   /// baseline (every kernel on the default stream).
   bool use_scheduler = true;
-  glp4nn::SchedulerOptions scheduler;  ///< policy is forced to kTenantSliced
+  glp4nn::SchedulerOptions scheduler;
   kern::ComputeMode mode = kern::ComputeMode::kNumeric;
   /// Merge each lane's per-sample kernel chain into one launch per
   /// stream in steady scopes (kern::CoalescingDispatcher) — the serving

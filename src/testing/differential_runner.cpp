@@ -94,11 +94,9 @@ bool bit_exact_contract(const mc::NetSpec& net,
   // so the summation order cannot depend on the stream layout.
   if (data_batch(net) <= 32) return true;
   // batch > 32: slots are shared between samples. Only strict-repro pools
-  // (divisors of 32) with round-robin assignment keep each slot's
-  // accumulation order identical to the serial baseline; block-cyclic
-  // assignment interleaves slot owners across streams.
-  return options.strict_repro &&
-         options.policy == glp4nn::DispatchPolicy::kRoundRobin;
+  // (divisors of 32) keep each slot's round-robin accumulation order
+  // identical to the serial baseline.
+  return options.strict_repro;
 }
 
 DiffResult run_differential(const FuzzCase& c, const DiffOptions& opts) {

@@ -66,8 +66,8 @@ struct DiffResult {
 
 /// Does the bit-exact branch of the contract apply to this combination?
 /// True when no scope-parallel layer shares gradient slots between
-/// samples (batch ≤ 32), or when strict_repro + round-robin pin the slot
-/// accumulation order regardless of pool size.
+/// samples (batch ≤ 32), or when strict_repro pins the slot accumulation
+/// order regardless of pool size.
 bool bit_exact_contract(const mc::NetSpec& net,
                         const glp4nn::SchedulerOptions& options);
 

@@ -171,7 +171,6 @@ FuzzCase make_fleet_case(std::uint64_t seed, const NetGenOptions& gen) {
     // The fleet contract is bit-exactness; force the regime that makes
     // per-device numerics independent of the stream layout.
     c.options.strict_repro = true;
-    c.options.policy = glp4nn::DispatchPolicy::kRoundRobin;
   }
   return c;
 }

@@ -467,8 +467,6 @@ gpusim::DeviceProps random_device(glp::Rng& rng) {
 
 glp4nn::SchedulerOptions random_scheduler_options(glp::Rng& rng) {
   glp4nn::SchedulerOptions o;
-  o.policy = chance(rng, 0.7) ? glp4nn::DispatchPolicy::kRoundRobin
-                              : glp4nn::DispatchPolicy::kBlockCyclic;
   o.strict_repro = chance(rng, 0.4);
   if (chance(rng, 0.3)) o.fixed_streams = pick(rng, {1, 2, 3, 4, 5, 8, 16});
   if (chance(rng, 0.25)) o.max_streams = pick(rng, {1, 2, 3, 4, 6, 8});
@@ -498,9 +496,7 @@ std::string FuzzCase::summary() const {
   os << "seed=" << seed << " net=" << net.name << " (" << net.layers.size()
      << " layers, batch " << batch << ") device=" << device.name
      << " (C=" << device.max_concurrent_kernels << ", " << device.sm_count
-     << " SMs) policy="
-     << (options.policy == glp4nn::DispatchPolicy::kRoundRobin ? "rr" : "bc")
-     << " strict=" << (options.strict_repro ? 1 : 0)
+     << " SMs) strict=" << (options.strict_repro ? 1 : 0)
      << " fixed=" << options.fixed_streams << " max=" << options.max_streams
      << " iters=" << iters << (dag ? " dag=1" : "");
   return os.str();

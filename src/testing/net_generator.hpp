@@ -61,8 +61,8 @@ mc::NetSpec random_dag_net(glp::Rng& rng, const NetGenOptions& options = {});
 /// the kernels the layer zoo emits.
 gpusim::DeviceProps random_device(glp::Rng& rng);
 
-/// A random scheduler configuration over DispatchPolicy × strict_repro ×
-/// fixed_streams × max_streams.
+/// A random scheduler configuration over strict_repro × fixed_streams ×
+/// max_streams.
 glp4nn::SchedulerOptions random_scheduler_options(glp::Rng& rng);
 
 /// One fully-sampled differential-fuzz case.

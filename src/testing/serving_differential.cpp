@@ -4,10 +4,12 @@
 #include <cmath>
 #include <cstring>
 #include <map>
+#include <memory>
 #include <set>
 #include <sstream>
 
 #include "common/check.hpp"
+#include "kernels/dispatch.hpp"
 #include "serving/server.hpp"
 #include "testing/differential_runner.hpp"
 
@@ -55,7 +57,6 @@ ServeCase make_serving_case(std::uint64_t seed, const NetGenOptions& options) {
   }
   c.device = random_device(rng);
 
-  c.batch.enabled = true;
   c.batch.mode = chance(rng, 0.5) ? serving::BatchMode::kContinuous
                                   : serving::BatchMode::kWindowed;
   c.batch.max_batch = pick(rng, {2, 3, 4, 6, 8});
@@ -112,31 +113,16 @@ ServeDiffResult run_serving_differential(const ServeCase& c,
   }
   const auto trace = serving::make_trace(c.trace, sizes);
 
-  // Both replays get an over-provisioned queue and no deadlines, so every
-  // request is served and the comparison covers the full trace.
-  serving::ServerOptions base;
-  base.slots = c.slots;
-  base.queue_capacity = trace.size() + 1;
-  base.keep_outputs = true;
-
-  // Reference: serial dispatch, batcher off, no coalescing — every request
-  // is its own batch-1 forward on the default stream.
-  std::vector<serving::RequestRecord> ref;
-  {
-    serving::ServerOptions opts = base;
-    opts.batch.enabled = false;
-    opts.use_scheduler = false;
-    opts.coalesce_lanes = false;
-    scuda::Context ctx(c.device);
-    serving::InferenceServer server(ctx, models, opts);
-    ref = server.replay(trace);
-  }
-
   // Subject: tenant-sliced scheduler with dynamic batching (windowed or
-  // continuous) and, on half the cases, lane coalescing.
+  // continuous) and, on half the cases, lane coalescing. An
+  // over-provisioned queue and no deadlines mean every request is served,
+  // so the comparison covers the full trace.
   std::vector<serving::RequestRecord> sub;
   {
-    serving::ServerOptions opts = base;
+    serving::ServerOptions opts;
+    opts.slots = c.slots;
+    opts.queue_capacity = trace.size() + 1;
+    opts.keep_outputs = true;
     opts.batch = c.batch;
     opts.use_scheduler = true;
     opts.coalesce_lanes = c.coalesce;
@@ -162,34 +148,48 @@ ServeDiffResult run_serving_differential(const ServeCase& c,
     }
   };
 
-  if (ref.size() != trace.size() || sub.size() != trace.size()) {
-    fail("record count mismatch: ref " + std::to_string(ref.size()) +
-         ", subject " + std::to_string(sub.size()) + ", trace " +
-         std::to_string(trace.size()));
+  if (sub.size() != trace.size()) {
+    fail("record count mismatch: subject " + std::to_string(sub.size()) +
+         ", trace " + std::to_string(trace.size()));
     return r;
   }
 
-  std::map<std::uint64_t, const serving::RequestRecord*> ref_by_id;
-  for (const serving::RequestRecord& rec : ref) ref_by_id[rec.id] = &rec;
+  // Oracle: one batch-1 forward per request on the serial dispatcher,
+  // synchronized before its output is read. It shares no serving code
+  // past InferenceSession, so an output the server reads before the
+  // batch's work has run cannot look the same on both sides.
+  scuda::Context ref_ctx(c.device);
+  kern::SerialDispatcher dispatcher(ref_ctx);
+  const gpusim::StreamId home = scuda::Stream(ref_ctx).id();
+  std::vector<std::unique_ptr<serving::InferenceSession>> oracle;
+  for (std::size_t t = 0; t < models.size(); ++t) {
+    serving::SessionOptions so;
+    if (models.size() > 1) so.name_prefix = "t" + std::to_string(t) + ":";
+    oracle.push_back(std::make_unique<serving::InferenceSession>(
+        ref_ctx, dispatcher, models[t].spec, so));
+  }
+
+  std::map<std::uint64_t, const serving::InferenceRequest*> by_id;
+  for (const serving::InferenceRequest& req : trace) by_id[req.id] = &req;
+  std::set<std::uint64_t> seen;
 
   // Within a tenant, responses must complete in arrival order; `sub` is
   // already in completion order, so arrivals must be non-decreasing.
   std::map<int, gpusim::SimTime> last_arrival;
 
   for (const serving::RequestRecord& s : sub) {
-    const auto it = ref_by_id.find(s.id);
-    if (it == ref_by_id.end()) {
-      fail("subject served unknown request id " + std::to_string(s.id));
+    const auto it = by_id.find(s.id);
+    if (it == by_id.end() || !seen.insert(s.id).second) {
+      fail("subject served unknown or duplicate request id " +
+           std::to_string(s.id));
       break;
     }
-    const serving::RequestRecord& b = *it->second;
-    if (s.outcome != b.outcome) {
+    if (s.outcome != serving::Outcome::kServed) {
       fail("request " + std::to_string(s.id) + " outcome " +
-           std::string(serving::outcome_name(s.outcome)) + " vs reference " +
-           serving::outcome_name(b.outcome));
+           serving::outcome_name(s.outcome) +
+           " despite ample queue and no deadlines");
       break;
     }
-    if (s.outcome != serving::Outcome::kServed) continue;
     ++r.served;
 
     auto& last = last_arrival[s.tenant];
@@ -201,33 +201,34 @@ ServeDiffResult run_serving_differential(const ServeCase& c,
     }
     last = s.arrival_ns;
 
-    if (s.output.size() != b.output.size()) {
+    serving::InferenceSession& sess =
+        *oracle.at(static_cast<std::size_t>(s.tenant));
+    serving::InferenceSession::Replica& replica = sess.checkout(1);
+    sess.run_batch(replica, {it->second->input.data()}, home);
+    ref_ctx.device().synchronize();
+    const float* expected = sess.output_of(replica, 0);
+    const std::size_t n = sess.sample_output_size();
+    if (s.output.size() != n) {
       fail("request " + std::to_string(s.id) + " output size " +
-           std::to_string(s.output.size()) + " vs reference " +
-           std::to_string(b.output.size()));
+           std::to_string(s.output.size()) + " vs oracle " +
+           std::to_string(n));
       break;
     }
-    for (std::size_t i = 0; i < s.output.size(); ++i) {
+    for (std::size_t i = 0; i < n; ++i) {
       r.max_output_diff = std::max(
           r.max_output_diff,
-          static_cast<double>(std::fabs(s.output[i] - b.output[i])));
+          static_cast<double>(std::fabs(s.output[i] - expected[i])));
     }
-    if (!s.output.empty() &&
-        std::memcmp(s.output.data(), b.output.data(),
-                    s.output.size() * sizeof(float)) != 0) {
+    if (n > 0 && std::memcmp(s.output.data(), expected, n * sizeof(float)) != 0) {
       std::ostringstream os;
-      os << "request " << s.id << " output differs from serial batch-1 "
-         << "reference (max |diff| so far " << r.max_output_diff << ")";
+      os << "request " << s.id << " output differs from its synchronized "
+         << "batch-1 forward (max |diff| so far " << r.max_output_diff << ")";
       fail(os.str());
       break;
     }
+    sess.release(replica);
   }
 
-  if (r.ok && r.served != trace.size()) {
-    fail("only " + std::to_string(r.served) + "/" +
-         std::to_string(trace.size()) +
-         " requests served despite ample queue and no deadlines");
-  }
   if (r.ok && check_timeline && !r.races.clean()) {
     fail("timeline race checks failed");
   }

@@ -1,17 +1,17 @@
 #pragma once
-// Serving differential runner: replays one sampled inference trace twice
-// against the same tenant models — once on the serial baseline with the
-// dynamic batcher disabled (every request a batch-1 forward on the
-// default stream) and once on the GLP4NN tenant-sliced scheduler with
-// batching enabled — and checks the serving contract:
+// Serving differential runner: replays one sampled inference trace on
+// the GLP4NN tenant-sliced scheduler with batching enabled and checks
+// the serving contract against an oracle of one synchronized batch-1
+// forward per request on the serial dispatcher:
 //
-//   * every request's output is bit-identical between the two replays
-//     (batching pads with copies of real samples and per-sample scopes
-//     are data-independent, so there is no tolerance regime here);
+//   * every request is served, and its output is bit-identical to its
+//     batch-1 forward (batching pads with copies of real samples and
+//     per-sample scopes are data-independent, so there is no tolerance
+//     regime here);
 //   * within a tenant, responses complete in arrival order (batches may
 //     interleave across tenants, never within one);
 //   * the scheduled replay's timeline passes the stream-ordering race
-//     checks from PR 1.
+//     checks.
 
 #include <cstdint>
 #include <string>
@@ -56,9 +56,9 @@ struct ServeDiffResult {
   RaceReport races;  ///< scheduled replay's timeline checks
 };
 
-/// Replay the case twice and compare. Never throws for a *failing*
-/// comparison (inspect `ok`/`failure`); propagates unexpected errors as
-/// exceptions.
+/// Replay the case and check it against the oracle. Never throws for a
+/// *failing* comparison (inspect `ok`/`failure`); propagates unexpected
+/// errors as exceptions.
 ServeDiffResult run_serving_differential(const ServeCase& c,
                                          bool check_timeline = true);
 

@@ -224,54 +224,6 @@ TEST_P(ModelOptimality, MatchesBruteForce) {
 INSTANTIATE_TEST_SUITE_P(Random, ModelOptimality,
                          ::testing::Range<std::uint64_t>(0, 30));
 
-// --- duration-weighted alternative model -------------------------------------------
-
-TEST(DurationWeighted, SatisfiesSameConstraints) {
-  const auto props = gpusim::DeviceTable::p100();
-  std::vector<KernelStats> kernels = {
-      kernel("long", 8, 256, 60.0),
-      kernel("short", 4, 128, 2.0),
-  };
-  const ConcurrencyDecision d =
-      glp4nn::analyze_duration_weighted(props, "s", kernels);
-  AnalyticalModel base(props);
-  double threads = 0;
-  int total = 0;
-  for (std::size_t i = 0; i < kernels.size(); ++i) {
-    EXPECT_LE(d.per_kernel[i].count, base.upper_bound(kernels[i]));
-    threads += static_cast<double>(d.per_kernel[i].count) *
-               base.beta_per_sm(kernels[i]) *
-               kernels[i].config.threads_per_block();
-    total += d.per_kernel[i].count;
-  }
-  EXPECT_LE(threads, props.max_threads_per_sm);
-  EXPECT_GE(total, 1);
-  EXPECT_EQ(d.stream_count, total);
-}
-
-TEST(DurationWeighted, FavoursTheDominantKernel) {
-  // With τ budget for only a few instances, the weighted objective spends
-  // it on the long kernel rather than splitting by raw thread count.
-  const auto props = gpusim::DeviceTable::p100();
-  std::vector<KernelStats> kernels = {
-      kernel("long", 200, 512, 100.0),   // heavy AND long
-      kernel("short", 200, 512, 6.0),    // same footprint, short
-  };
-  const ConcurrencyDecision d =
-      glp4nn::analyze_duration_weighted(props, "s", kernels);
-  EXPECT_GE(d.per_kernel[0].count, d.per_kernel[1].count);
-  EXPECT_GT(d.per_kernel[0].count, 0);
-}
-
-TEST(DurationWeighted, PluggableViaKernelAnalyzer) {
-  KernelAnalyzer analyzer(gpusim::DeviceTable::p100());
-  analyzer.set_model(glp4nn::analyze_duration_weighted);
-  ScopeProfile profile;
-  profile.scope = "s";
-  profile.kernels = {kernel("a", 4, 128, 20.0)};
-  EXPECT_GE(analyzer.decide(profile).stream_count, 1);
-}
-
 // --- analyzer cache ----------------------------------------------------------------
 
 TEST(KernelAnalyzer, CachesDecisionsPerScope) {
@@ -298,21 +250,6 @@ TEST(KernelAnalyzer, InvalidateForcesReanalysis) {
   analyzer.decide(profile);
   analyzer.invalidate();
   EXPECT_FALSE(analyzer.has_decision("s"));
-}
-
-TEST(KernelAnalyzer, CustomModelHookOverridesDefault) {
-  KernelAnalyzer analyzer(gpusim::DeviceTable::p100());
-  analyzer.set_model([](const gpusim::DeviceProps&, const std::string& scope,
-                        const std::vector<KernelStats>&) {
-    ConcurrencyDecision d;
-    d.scope = scope;
-    d.stream_count = 42;
-    return d;
-  });
-  ScopeProfile profile;
-  profile.scope = "s";
-  profile.kernels = {kernel("a", 4, 128, 20.0)};
-  EXPECT_EQ(analyzer.decide(profile).stream_count, 42);
 }
 
 TEST(KernelAnalyzer, DecisionsMapExposed) {

@@ -72,13 +72,12 @@ TEST(FuzzRegression, GeneratedCasesAreSeedDeterministic) {
 }
 
 TEST(FuzzRegression, BitExactContractMatchesDesign) {
-  // batch ≤ 32 → always exact; batch > 32 needs strict_repro + RR.
+  // batch ≤ 32 → always exact; batch > 32 needs strict_repro.
   mc::NetSpec small = glpfuzz::make_case(1).net;  // contains ≥1 conv
   for (auto& layer : small.layers) {
     if (layer.type == "Data") layer.params.batch_size = 16;
   }
   glp4nn::SchedulerOptions opts;
-  opts.policy = glp4nn::DispatchPolicy::kBlockCyclic;
   EXPECT_TRUE(glpfuzz::bit_exact_contract(small, opts));
 
   for (auto& layer : small.layers) {
@@ -86,8 +85,6 @@ TEST(FuzzRegression, BitExactContractMatchesDesign) {
   }
   EXPECT_FALSE(glpfuzz::bit_exact_contract(small, opts));
   opts.strict_repro = true;
-  EXPECT_FALSE(glpfuzz::bit_exact_contract(small, opts));  // still BC
-  opts.policy = glp4nn::DispatchPolicy::kRoundRobin;
   EXPECT_TRUE(glpfuzz::bit_exact_contract(small, opts));
 }
 

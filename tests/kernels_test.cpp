@@ -237,8 +237,9 @@ TEST(FixedStreamDispatcher, EndScopeOrdersLaterDefaultWork) {
 
 // --- lane-owned gradient slots ------------------------------------------------
 
-/// Lanes the scheduler's policies hand out: round-robin (n mod S) and
-/// block-cyclic (contiguous blocks of ceil(N / S)).
+/// Lane assignments to check: the scheduler's round-robin (n mod S), and
+/// contiguous blocks of ceil(N / S) as an example of any other
+/// assignment, which must stay race-free too.
 std::vector<kern::Lane> policy_lanes(int n, int streams, bool round_robin) {
   std::vector<kern::Lane> lanes(static_cast<std::size_t>(n));
   const int block = (n + streams - 1) / streams;
@@ -266,7 +267,7 @@ TEST(LaneOwnedSlots, NoSlotIsSharedBetweenLanes) {
           ASSERT_EQ(it->second, lane)
               << "slot " << slot << " written from lanes " << it->second << " and "
               << lane << " (batch " << batch << ", " << streams << " streams, "
-              << (rr ? "round-robin" : "block-cyclic") << ")";
+              << (rr ? "round-robin" : "blocked") << ")";
         }
       }
     }

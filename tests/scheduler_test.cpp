@@ -8,7 +8,6 @@
 
 namespace {
 
-using glp4nn::DispatchPolicy;
 using glp4nn::Glp4nnEngine;
 using glp4nn::RuntimeScheduler;
 using glp4nn::SchedulerOptions;
@@ -90,19 +89,6 @@ TEST_F(SchedulerTest, RoundRobinMapsModulo) {
   const auto l7 = s.task_lane(7);
   EXPECT_EQ(l0.stream, l3.stream);
   EXPECT_EQ(l7.lane, 1);
-  s.end_scope();
-}
-
-TEST_F(SchedulerTest, BlockCyclicPolicyGroupsContiguously) {
-  SchedulerOptions opt;
-  opt.fixed_streams = 2;
-  opt.policy = DispatchPolicy::kBlockCyclic;
-  RuntimeScheduler& s = scheduler(opt);
-  s.begin_scope("x", 8);
-  EXPECT_EQ(s.task_lane(0).lane, 0);
-  EXPECT_EQ(s.task_lane(3).lane, 0);
-  EXPECT_EQ(s.task_lane(4).lane, 1);
-  EXPECT_EQ(s.task_lane(7).lane, 1);
   s.end_scope();
 }
 
@@ -207,9 +193,7 @@ TEST_F(SchedulerTest, TenantSlicesDisjointAcrossDifferingDecisions) {
   // stream counts differ — if each slot computed its slice from its own
   // decision, the ranges could overlap and in-flight batches would share
   // streams (serialising supposedly isolated tenants).
-  SchedulerOptions opt;
-  opt.policy = DispatchPolicy::kTenantSliced;
-  RuntimeScheduler& s = scheduler(opt);
+  RuntimeScheduler& s = scheduler();
   // Profile two scopes with very different concurrency appetites.
   run_scope(s, "heavy", 16, 5e8);
   run_scope(s, "light", 2, 1e5);
@@ -247,6 +231,15 @@ TEST_F(SchedulerTest, TenantSlicesDisjointAcrossDifferingDecisions) {
     EXPECT_EQ(slot1_heavy.count(a), 0u)
         << "stream " << a << " shared between concurrent batch slots";
   }
+  // With no tenant set, the same steady scope runs on the shared pool
+  // (the analyzer's streams from the pool's start), not on the slice of
+  // the tenant that was active last.
+  s.begin_scope("heavy", 16);
+  std::set<gpusim::StreamId> shared;
+  for (std::size_t i = 0; i < 16; ++i) shared.insert(s.task_lane(i).stream);
+  s.end_scope();
+  EXPECT_EQ(shared.size(), static_cast<std::size_t>(heavy_streams));
+  EXPECT_EQ(shared, slot0);
 }
 
 // StreamManager unit tests live in stream_manager_test.cpp.

@@ -205,9 +205,10 @@ TEST(DynamicBatcher, DelayTimeoutCutsPartialBatch) {
   EXPECT_EQ(b.next_cut_ns(q), kInf);
 }
 
-TEST(DynamicBatcher, DisabledPolicyIsImmediateBatchOne) {
+TEST(DynamicBatcher, UnbatchedPolicyIsImmediateBatchOne) {
   serving::BatchPolicy p;
-  p.enabled = false;
+  p.mode = serving::BatchMode::kContinuous;
+  p.max_batch = 1;
   serving::DynamicBatcher b(p);
   serving::RequestQueue q(16);
   q.push(req(0, 0, 5.0));
@@ -372,7 +373,8 @@ TEST(DynamicBatcher, ContinuousModeCapsAtMaxBatch) {
 
 TEST(DynamicBatcher, StridedIdsStayDisjointAcrossShards) {
   serving::BatchPolicy p;
-  p.enabled = false;
+  p.mode = serving::BatchMode::kContinuous;
+  p.max_batch = 1;
   serving::DynamicBatcher shard0(p, 0, 3);
   serving::DynamicBatcher shard1(p, 1, 3);
   serving::RequestQueue q(16);

@@ -1,9 +1,9 @@
 // Fixed-seed serving-differential corpus: random inference nets, devices,
 // batching policies and open-loop traces through run_serving_differential
-// on every CI run. Extends the PR-1 convergence-invariance contract to
-// the serving path — the batched, tenant-sliced scheduled replay must be
-// bit-identical to the serial batch-1 baseline, per-tenant FIFO, and
-// race-free. Failures print the seed; replay with
+// on every CI run. Extends the convergence-invariance contract to the
+// serving path — the batched, tenant-sliced scheduled replay must be
+// bit-identical to one synchronized serial batch-1 forward per request,
+// per-tenant FIFO, and race-free. Failures print the seed; replay with
 //
 //   GLP_TEST_SEED=<seed> ./tests/serving_fuzz_test --gtest_filter='*EnvSeed*'
 

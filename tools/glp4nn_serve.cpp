@@ -139,7 +139,7 @@ int main(int argc, char** argv) {
   double rate = 2000.0, max_delay_us = 2000.0, deadline_ms = 0.0;
   double headroom = 1.2;
   unsigned long long seed = 42;
-  bool no_batching = false, timing_only = false, compare = false;
+  bool timing_only = false, compare = false;
   bool no_coalesce = false, slo_aware = false, downgrade = false;
 
   glp::Flags flags("glp4nn_serve",
@@ -156,9 +156,9 @@ int main(int argc, char** argv) {
            "poisson|bursty|uniform|diurnal|flash_crowd|heavy_tail|adversarial")
       .opt("deadline-ms", &deadline_ms, "per-request deadline (0 = none)")
       .opt("batch-mode", &batch_mode, "windowed|continuous")
-      .opt("max-batch", &max_batch, "dynamic batcher size cap")
+      .opt("max-batch", &max_batch,
+           "dynamic batcher size cap (1 with continuous mode: no batching)")
       .opt("max-delay-us", &max_delay_us, "batcher delay cap (windowed mode)")
-      .flag("no-batching", &no_batching, "disable the dynamic batcher")
       .flag("no-coalesce", &no_coalesce, "disable lane coalescing")
       .flag("slo-aware", &slo_aware,
             "shed provably-late requests at admission")
@@ -268,7 +268,6 @@ int main(int argc, char** argv) {
     }
 
     serving::ServerOptions base;
-    base.batch.enabled = !no_batching;
     if (batch_mode == "continuous") {
       base.batch.mode = serving::BatchMode::kContinuous;
     } else if (batch_mode != "windowed") {
