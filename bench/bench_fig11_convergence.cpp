@@ -2,7 +2,7 @@
 // naive-Caffe vs GLP4NN-Caffe must coincide (convergence invariance).
 // The paper's small residual difference came from data shuffling, which
 // this reproduction eliminates (identical deterministic batches), so the
-// curves here match exactly — and bitwise in strict-repro mode.
+// curves here match bit for bit.
 //
 // Numerics run for real (ComputeMode::kNumeric), so iteration counts are
 // scaled down from the paper's multi-thousand-iteration run. Caffe's
@@ -44,21 +44,19 @@ mc::NetSpec two_stage_variant(int batch) {
   return s;
 }
 
-std::vector<float> train(const mc::NetSpec& spec, int mode, bool strict,
-                         int iters, float lr) {
+std::vector<float> train(const mc::NetSpec& spec, bool glp, int iters,
+                         float lr) {
   scuda::Context ctx(gpusim::DeviceTable::p100());
   std::unique_ptr<kern::KernelDispatcher> serial;
   std::unique_ptr<glp4nn::Glp4nnEngine> engine;
   mc::ExecContext ec;
   ec.ctx = &ctx;
-  if (mode == 0) {
+  if (glp) {
+    engine = std::make_unique<glp4nn::Glp4nnEngine>();
+    ec.dispatcher = &engine->scheduler_for(ctx);
+  } else {
     serial = std::make_unique<kern::SerialDispatcher>(ctx);
     ec.dispatcher = serial.get();
-  } else {
-    glp4nn::SchedulerOptions opts;
-    opts.strict_repro = strict;
-    engine = std::make_unique<glp4nn::Glp4nnEngine>(opts);
-    ec.dispatcher = &engine->scheduler_for(ctx);
   }
   mc::Net net(spec, ec);
   mc::SolverParams params;
@@ -79,22 +77,18 @@ double max_curve_diff(const std::vector<float>& a, const std::vector<float>& b) 
   return m;
 }
 
-void print_curves(const std::vector<float>& naive, const std::vector<float>& glp,
-                  const std::vector<float>& strict) {
+void print_curves(const std::vector<float>& naive, const std::vector<float>& glp) {
   const int iters = static_cast<int>(naive.size());
-  bench::print_row({"iter", "Caffe", "GLP4NN", "GLP4NN-strict"}, {7, 10, 10, 14});
+  bench::print_row({"iter", "Caffe", "GLP4NN"}, {7, 10, 10});
   for (int i = 0; i < iters; i += std::max(1, iters / 12)) {
     bench::print_row({std::to_string(i + 1),
                       glp::strformat("%.4f", naive[static_cast<std::size_t>(i)]),
-                      glp::strformat("%.4f", glp[static_cast<std::size_t>(i)]),
-                      glp::strformat("%.4f", strict[static_cast<std::size_t>(i)])},
-                     {7, 10, 10, 14});
+                      glp::strformat("%.4f", glp[static_cast<std::size_t>(i)])},
+                     {7, 10, 10});
   }
-  std::printf("max |Caffe − GLP4NN|:        %.3e\n",
-              max_curve_diff(naive, glp));
-  std::printf("max |Caffe − GLP4NN-strict|: %.3e (bitwise: %s)\n",
-              max_curve_diff(naive, strict),
-              max_curve_diff(naive, strict) == 0.0 ? "yes" : "no");
+  std::printf("max |Caffe − GLP4NN|: %.3e (bitwise: %s)\n",
+              max_curve_diff(naive, glp),
+              naive == glp ? "yes" : "no");
 }
 
 }  // namespace
@@ -109,12 +103,10 @@ int main(int argc, char** argv) {
   {
     const mc::NetSpec spec = mc::models::cifar10_quick(batch);
     std::fprintf(stderr, "part 1: naive...\n");
-    const auto naive = train(spec, 0, false, iters, 0.001f);
+    const auto naive = train(spec, false, iters, 0.001f);
     std::fprintf(stderr, "part 1: glp4nn...\n");
-    const auto glp = train(spec, 1, false, iters, 0.001f);
-    std::fprintf(stderr, "part 1: strict...\n");
-    const auto strict = train(spec, 1, true, iters, 0.001f);
-    print_curves(naive, glp, strict);
+    const auto glp = train(spec, true, iters, 0.001f);
+    print_curves(naive, glp);
     std::printf(
         "(Caffe's 1e-4 conv1 initialisation plateaus near log(10)=2.303 for\n"
         "hundreds of iterations — as in the paper's own Fig. 11 — so this\n"
@@ -127,12 +119,10 @@ int main(int argc, char** argv) {
   {
     const mc::NetSpec spec = two_stage_variant(25);
     std::fprintf(stderr, "part 2: naive...\n");
-    const auto naive = train(spec, 0, false, 60, 0.01f);
+    const auto naive = train(spec, false, 60, 0.01f);
     std::fprintf(stderr, "part 2: glp4nn...\n");
-    const auto glp = train(spec, 1, false, 60, 0.01f);
-    std::fprintf(stderr, "part 2: strict...\n");
-    const auto strict = train(spec, 1, true, 60, 0.01f);
-    print_curves(naive, glp, strict);
+    const auto glp = train(spec, true, 60, 0.01f);
+    print_curves(naive, glp);
     std::printf("loss fell from %.3f to %.3f under both schedulers.\n",
                 naive.front(), naive.back());
   }

@@ -64,12 +64,6 @@ int RuntimeScheduler::clamp_streams(int requested) const {
   const int device_cap = ctx_->props().max_concurrent_kernels;
   s = std::min(s, device_cap);
   if (options_.max_streams > 0) s = std::min(s, options_.max_streams);
-  if (options_.strict_repro) {
-    // Largest power of two ≤ s that divides 32 (1, 2, 4, 8, 16, 32).
-    int p = 1;
-    while (p * 2 <= s && p * 2 <= 32) p *= 2;
-    s = p;
-  }
   return std::max(s, 1);
 }
 
@@ -165,13 +159,10 @@ std::vector<gpusim::StreamId> RuntimeScheduler::acquire_scope_pool(int count) {
   if (dag_active_) {
     // DAG op: the scope may only expand inside its op's slot slice, so
     // scopes of concurrently running ops never hand out overlapping
-    // stream ranges (same argument as the tenant slices below). The
-    // strict-repro clamp keeps the pool a divisor of 32 even after the
-    // slice shrinks it, preserving the stream-stable gradient-slot order
-    // the bit-exact contract relies on.
+    // stream ranges (same argument as the tenant slices below).
     const int num_slots = std::max(1, dag_.num_slots);
     const int slice_width = std::max(1, max_lanes() / num_slots);
-    const int used = clamp_streams(std::min(std::max(1, count), slice_width));
+    const int used = std::min(std::max(1, count), slice_width);
     try {
       return streams_->acquire_slice(*ctx_, dag_.slot, slice_width, used,
                                      /*priority=*/0);

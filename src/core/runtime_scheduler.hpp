@@ -14,9 +14,8 @@
 //   afterwards — STEADY: round-robin tasks over the scope's stream pool;
 //     end_scope posts an asynchronous default-stream barrier.
 //
-// Options: a stream cap, strict-repro pool rounding (bit-identical
-// training), a fixed pool size that bypasses the model (the Fig. 2/4
-// manual baseline) and the profiling-overhead charge.
+// Options: a stream cap, a fixed pool size that bypasses the model (the
+// Fig. 2/4 manual baseline) and the profiling-overhead charge.
 
 #include <map>
 #include <set>
@@ -49,10 +48,6 @@ struct TenantContext {
 struct SchedulerOptions {
   /// Cap on the analyzer's stream count (0 = device concurrency degree).
   int max_streams = 0;
-  /// Round pool sizes down to a divisor of 32 so gradient-slot order is
-  /// stream-stable → bit-identical training vs the serial baseline
-  /// (extension; see ConvolutionLayer docs).
-  bool strict_repro = false;
   /// Skip profiling/analysis and always use this many streams (manual
   /// baseline for Figs. 2 and 4; 0 = disabled).
   int fixed_streams = 0;
@@ -115,9 +110,6 @@ class RuntimeScheduler final : public kern::KernelDispatcher {
   /// T_s — negligible for the static policy, measured anyway).
   double scheduling_ms() const { return scheduling_ms_; }
 
-  /// Effective pool size after the option clamps (exposed for tests).
-  int clamp_streams(int requested) const;
-
   // --- multi-tenant serving ------------------------------------------------
   /// Set the tenant context for subsequently issued scopes (must not be
   /// called mid-scope); it routes them onto the tenant's stream-pool
@@ -150,6 +142,8 @@ class RuntimeScheduler final : public kern::KernelDispatcher {
   static constexpr int kMaxProfileAttempts = 3;
 
  private:
+  /// `requested` clamped to the device concurrency degree and max_streams.
+  int clamp_streams(int requested) const;
   /// Acquire a pool of `count` streams, degrading the current scope to
   /// serial dispatch when stream creation fails (injected fault).
   std::vector<gpusim::StreamId> acquire_pool(int count);

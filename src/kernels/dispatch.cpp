@@ -1,33 +1,8 @@
 #include "kernels/dispatch.hpp"
 
-#include <algorithm>
-
 #include "common/check.hpp"
 
 namespace kern {
-
-void lane_owned_slots(const std::vector<Lane>& lanes, std::vector<int>& slots) {
-  const std::size_t n = lanes.size();
-  slots.resize(n);
-  if (n <= static_cast<std::size_t>(kSharedSlots)) {
-    for (std::size_t i = 0; i < n; ++i) slots[i] = static_cast<int>(i);
-    return;
-  }
-  int width = 1;
-  for (const Lane& l : lanes) {
-    GLP_CHECK(l.lane >= 0);
-    width = std::max(width, l.lane + 1);
-  }
-  const int per_lane = std::max(1, kSharedSlots / width);
-  // Tasks seen so far per lane; reused across calls.
-  thread_local std::vector<int> seen;
-  seen.assign(static_cast<std::size_t>(width), 0);
-  for (std::size_t i = 0; i < n; ++i) {
-    const int lane = lanes[i].lane;
-    const int k = seen[static_cast<std::size_t>(lane)]++;
-    slots[i] = lane + width * (k % per_lane);
-  }
-}
 
 FixedStreamDispatcher::FixedStreamDispatcher(scuda::Context& ctx, int num_streams)
     : ctx_(&ctx) {

@@ -37,19 +37,13 @@ struct Lane {
   int lane = 0;
 };
 
-/// Gradient-accumulation slots a scope's tasks share when there are more
-/// tasks than this (see lane_owned_slots).
+/// Gradient-accumulation slots of a backward scope: task n accumulates
+/// into slot n mod kSharedSlots, the serial baseline's assignment. A
+/// layer routes task n to task_lane(n mod kSharedSlots), so all tasks of
+/// one slot run on one stream in ascending n, whatever the pool size.
+/// That relies on every dispatcher mapping one index to the same lane
+/// within a scope (task_lane is a pure function of the index).
 inline constexpr int kSharedSlots = 32;
-
-/// Gradient-accumulation slot of each task of a scope, given the tasks'
-/// lanes, such that every slot is written from a single lane: tasks that
-/// share a slot then accumulate in stream order, never concurrently. Up to
-/// `kSharedSlots` tasks each own slot n. Beyond that, with S lanes, the
-/// k-th task of lane l gets slot l + S * (k mod max(1, kSharedSlots / S)),
-/// which is exactly n mod kSharedSlots under round-robin with S dividing
-/// kSharedSlots. Uses at most max(kSharedSlots, S) slots. Writes into
-/// `slots` so a caller that keeps it allocates nothing in steady state.
-void lane_owned_slots(const std::vector<Lane>& lanes, std::vector<int>& slots);
 
 /// One node of an inter-operator dependency DAG handed to plan_dag().
 /// Ops are listed in the order the host will issue them (a topological

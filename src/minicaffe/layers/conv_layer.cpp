@@ -30,8 +30,7 @@ void ConvolutionLayer::setup(const std::vector<Blob*>& bottom,
                        << channels_ << " and num_output " << p.num_output);
   // kernel_dim_ is the GEMM K dimension *per group*.
   kernel_dim_ = (channels_ / p.group) * p.kernel_size * p.kernel_size;
-  // backward() grows this when a scope spreads over more lanes than
-  // kern::kSharedSlots (see kern::lane_owned_slots).
+  // One gradient slot per sample up to kern::kSharedSlots, then shared.
   accum_slots_ = std::min(kern::kSharedSlots, num_);
 
   top[0]->reshape({num_, p.num_output, out_h_, out_w_});
@@ -58,25 +57,6 @@ void ConvolutionLayer::setup(const std::vector<Blob*>& bottom,
                                             p.num_output * kernel_dim_);
     bias_partial_.allocate(*ec_->ctx, static_cast<std::size_t>(accum_slots_) *
                                           p.num_output);
-  }
-}
-
-void ConvolutionLayer::grow_accum_slots(int slots) {
-  if (slots <= accum_slots_) return;
-  // More lanes than shared slots: every lane needs slots of its own. The
-  // device is drained first because queued kernels (this pass's zero fill
-  // among them) still reference the old buffers; the new ones are zeroed
-  // on the host.
-  const LayerParams& p = spec_.params;
-  ec_->ctx->device().synchronize();
-  accum_slots_ = slots;
-  const std::size_t wcount = static_cast<std::size_t>(slots) * p.num_output * kernel_dim_;
-  const std::size_t bcount = static_cast<std::size_t>(slots) * p.num_output;
-  weight_partial_.allocate(*ec_->ctx, wcount);
-  bias_partial_.allocate(*ec_->ctx, bcount);
-  if (ec_->numeric()) {
-    kern::cpu::fill(wcount, 0.0f, weight_partial_.data());
-    kern::cpu::fill(bcount, 0.0f, bias_partial_.data());
   }
 }
 
@@ -166,19 +146,15 @@ void ConvolutionLayer::backward(const std::vector<Blob*>& top,
   if (p.bias_term) kern::sfill(L0, bias_partial_.count(), 0.0f, bias_partial_.data());
 
   ec_->dispatcher->begin_scope(spec_.name + "/bwd", static_cast<std::size_t>(num_));
-  lanes_.resize(static_cast<std::size_t>(num_));
   for (int n = 0; n < num_; ++n) {
-    lanes_[static_cast<std::size_t>(n)] =
-        ec_->dispatcher->task_lane(static_cast<std::size_t>(n));
-  }
-  kern::lane_owned_slots(lanes_, slots_);
-  grow_accum_slots(1 + *std::max_element(slots_.begin(), slots_.end()));
-  for (int n = 0; n < num_; ++n) {
-    const kern::Lane lane = lanes_[static_cast<std::size_t>(n)];
+    // All samples of a slot share its lane, so they accumulate in
+    // ascending n on one stream (see kern::kSharedSlots).
+    const int slot = n % kern::kSharedSlots;
+    const kern::Lane lane =
+        ec_->dispatcher->task_lane(static_cast<std::size_t>(slot));
     ensure_col_lane(lane.lane);
     float* col = col_lanes_[static_cast<std::size_t>(lane.lane)].data();
     const kern::Launcher L = launcher("bwd", lane.stream);
-    const int slot = slots_[static_cast<std::size_t>(n)];
     const float* tdiff_n = top_diff + static_cast<std::size_t>(n) * top_stride;
 
     // Recompute col(n) (Caffe does the same — the forward buffer is shared).

@@ -28,7 +28,6 @@ class DeconvolutionLayer final : public Layer {
 
  private:
   void ensure_col_lane(int lane);
-  void grow_accum_slots(int slots);
 
   int num_ = 0, channels_ = 0, height_ = 0, width_ = 0;
   int out_h_ = 0, out_w_ = 0;
@@ -36,8 +35,6 @@ class DeconvolutionLayer final : public Layer {
   int accum_slots_ = 1;
 
   std::vector<DeviceBuffer<float>> col_lanes_;
-  std::vector<kern::Lane> lanes_;  // backward scratch: each task's lane
-  std::vector<int> slots_;         // backward scratch: each task's gradient slot
   DeviceBuffer<float> ones_;
   DeviceBuffer<float> weight_partial_;
   DeviceBuffer<float> bias_partial_;

@@ -2,14 +2,10 @@
 // Differential runner: trains one sampled net twice — once under plain
 // serial dispatch (the naive-Caffe baseline) and once under the GLP4NN
 // runtime scheduler — and compares the results under the contract the
-// paper and this reproduction promise:
-//
-//   * bit-identical losses and parameters whenever the strict-repro
-//     contract applies (every gradient-accumulation slot is owned by a
-//     single sample, or strict_repro pools + round-robin make slot order
-//     stream-stable);
-//   * loss-trajectory and parameter agreement within float-reassociation
-//     tolerance otherwise.
+// paper and this reproduction promise: bit-identical losses and
+// parameters, at every batch size, pool size and fault schedule. (Every
+// gradient-accumulation slot is summed on one stream in the serial
+// baseline's order; see kern::kSharedSlots.)
 //
 // The GLP run records its full gpusim timeline, which is then checked
 // against the stream-ordering invariants (see race_checker.hpp). Faults
@@ -32,10 +28,6 @@ struct DiffOptions {
   /// Arm these fault rates on the GLP run's context (the serial baseline
   /// always runs fault-free). All-zero rates leave the injector disarmed.
   scuda::FaultConfig faults;
-  /// Tolerances for the non-bit-exact regime.
-  double loss_rtol = 1e-2;
-  double loss_atol = 1e-4;
-  double param_tol = 5e-2;
   /// Route the GLP runs of run_engine_differential through the NetDag
   /// executor (inter-operator DAG scheduling + fusion) instead of the
   /// serial layer loop. run_dag_differential ignores this — it always
@@ -47,8 +39,6 @@ struct DiffResult {
   bool ok = true;
   std::string failure;  ///< first failure, human-readable ("" when ok)
 
-  bool bit_exact_expected = false;
-  bool bit_exact_observed = false;
   double max_param_diff = 0.0;
   double max_loss_diff = 0.0;
   std::size_t params_compared = 0;
@@ -64,10 +54,10 @@ struct DiffResult {
   std::size_t serial_fallback_scopes = 0;
 };
 
-/// Does the bit-exact branch of the contract apply to this combination?
-/// True when no scope-parallel layer shares gradient slots between
-/// samples (batch ≤ 32), or when strict_repro pins the slot accumulation
-/// order regardless of pool size.
+/// Does the bit-exact contract apply to this combination? Always: each
+/// gradient slot is summed in the serial order whatever the batch and
+/// pool size. Kept as the one place callers ask, so that a future
+/// exception (say, a layer that reassociates sums) lands here.
 bool bit_exact_contract(const mc::NetSpec& net,
                         const glp4nn::SchedulerOptions& options);
 
@@ -104,9 +94,6 @@ struct DagDiffResult {
   bool ok = true;
   std::string failure;  ///< first failure, human-readable ("" when ok)
 
-  bool bit_exact_expected = false;
-  bool serial_bits_match = false;  ///< serial baseline vs DAG run
-  bool chain_bits_match = false;   ///< chain-only GLP vs DAG run
   double max_param_diff_serial = 0.0;
   double max_param_diff_chain = 0.0;
   std::vector<float> serial_losses;
@@ -134,8 +121,7 @@ struct DagDiffResult {
 /// fault-free; (2) under the GLP scheduler with chain-only (non-DAG)
 /// issue, faults armed; (3) under the GLP scheduler with DAG scheduling
 /// and fusion, same faults armed. Requires DAG == serial AND DAG ==
-/// chain-only — bit-identical when the bit-exact contract applies,
-/// within tolerance otherwise — plus a clean race report and a clean
+/// chain-only, bit for bit, plus a clean race report and a clean
 /// op-schedule replay (when opts.check_timeline).
 DagDiffResult run_dag_differential(const FuzzCase& c,
                                    const DiffOptions& opts = {});

@@ -12,7 +12,6 @@
 #include "minicaffe/net.hpp"
 #include "minicaffe/solver.hpp"
 #include "simcuda/fleet.hpp"
-#include "testing/differential_runner.hpp"
 
 namespace glpfuzz {
 
@@ -167,11 +166,6 @@ mc::NetSpec strip_dropout(const mc::NetSpec& spec) {
 FuzzCase make_fleet_case(std::uint64_t seed, const NetGenOptions& gen) {
   FuzzCase c = make_case(seed, gen);
   c.net = strip_dropout(c.net);
-  if (!bit_exact_contract(c.net, c.options)) {
-    // The fleet contract is bit-exactness; force the regime that makes
-    // per-device numerics independent of the stream layout.
-    c.options.strict_repro = true;
-  }
   return c;
 }
 

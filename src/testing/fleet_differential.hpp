@@ -18,8 +18,7 @@
 // Cases ride the ordinary fuzz-case sampler, adjusted for the fleet
 // corpus: Dropout is stripped (masks are drawn from each replica's
 // private RNG, so replicas and the reference would diverge — see
-// strip_dropout) and scheduler options are forced into the bit-exact
-// regime when the sampled batch size would leave it.
+// strip_dropout).
 
 #include <cstddef>
 #include <string>
@@ -85,9 +84,7 @@ struct FleetDiffResult {
 /// bottom. Every other layer is untouched.
 mc::NetSpec strip_dropout(const mc::NetSpec& spec);
 
-/// A fuzz case adjusted for the fleet corpus: Dropout stripped and
-/// scheduler options forced into the bit-exact regime (strict_repro +
-/// round-robin) when the sampled batch size would otherwise leave it.
+/// A fuzz case adjusted for the fleet corpus: Dropout stripped.
 FuzzCase make_fleet_case(std::uint64_t seed, const NetGenOptions& gen = {});
 
 /// Train `c` on an `opts.devices`-wide fleet and on the single-device

@@ -35,7 +35,8 @@ struct NetGenOptions {
 /// A random, valid, topologically-sorted training net: Data → random
 /// body (convs, pools, activations, LRN, dropout, optional branch) →
 /// InnerProduct → SoftmaxWithLoss. Batch sizes straddle the 32-slot
-/// boundary so both bit-exact regimes are sampled.
+/// boundary: up to 32 every sample owns a gradient slot, beyond it up to
+/// 4 samples share one (batch 128, when max_batch allows it).
 mc::NetSpec random_net(glp::Rng& rng, const NetGenOptions& options = {});
 
 /// A random, valid, forward-only *serving* net: Input (caller-filled
@@ -61,8 +62,7 @@ mc::NetSpec random_dag_net(glp::Rng& rng, const NetGenOptions& options = {});
 /// the kernels the layer zoo emits.
 gpusim::DeviceProps random_device(glp::Rng& rng);
 
-/// A random scheduler configuration over strict_repro × fixed_streams ×
-/// max_streams.
+/// A random scheduler configuration over fixed_streams × max_streams.
 glp4nn::SchedulerOptions random_scheduler_options(glp::Rng& rng);
 
 /// One fully-sampled differential-fuzz case.

@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <map>
 #include <mutex>
 #include <vector>
 
@@ -233,72 +232,6 @@ TEST(FixedStreamDispatcher, EndScopeOrdersLaterDefaultWork) {
   ctx.device().synchronize();
   ASSERT_EQ(order.size(), 3u);
   EXPECT_EQ(order[2], 1);  // "after" observed the whole scope
-}
-
-// --- lane-owned gradient slots ------------------------------------------------
-
-/// Lane assignments to check: the scheduler's round-robin (n mod S), and
-/// contiguous blocks of ceil(N / S) as an example of any other
-/// assignment, which must stay race-free too.
-std::vector<kern::Lane> policy_lanes(int n, int streams, bool round_robin) {
-  std::vector<kern::Lane> lanes(static_cast<std::size_t>(n));
-  const int block = (n + streams - 1) / streams;
-  for (int i = 0; i < n; ++i) {
-    lanes[static_cast<std::size_t>(i)].lane =
-        round_robin ? i % streams : std::min(i / block, streams - 1);
-  }
-  return lanes;
-}
-
-TEST(LaneOwnedSlots, NoSlotIsSharedBetweenLanes) {
-  for (const int batch : {33, 64, 100, 257}) {
-    for (int streams = 1; streams <= 32; ++streams) {
-      for (const bool rr : {true, false}) {
-        const auto lanes = policy_lanes(batch, streams, rr);
-        std::vector<int> slots;
-        kern::lane_owned_slots(lanes, slots);
-        std::map<int, int> owner;  // slot -> lane
-        for (int n = 0; n < batch; ++n) {
-          const int slot = slots[static_cast<std::size_t>(n)];
-          const int lane = lanes[static_cast<std::size_t>(n)].lane;
-          ASSERT_GE(slot, 0);
-          ASSERT_LT(slot, kern::kSharedSlots);
-          const auto [it, fresh] = owner.emplace(slot, lane);
-          ASSERT_EQ(it->second, lane)
-              << "slot " << slot << " written from lanes " << it->second << " and "
-              << lane << " (batch " << batch << ", " << streams << " streams, "
-              << (rr ? "round-robin" : "blocked") << ")";
-        }
-      }
-    }
-  }
-}
-
-TEST(LaneOwnedSlots, KeepsTheSerialAssignmentWhereItWasRaceFree) {
-  // Batch <= 32: one slot per sample, whatever the lanes.
-  for (int batch = 1; batch <= 32; ++batch) {
-    std::vector<int> slots;
-    kern::lane_owned_slots(policy_lanes(batch, 3, true), slots);
-    for (int n = 0; n < batch; ++n) EXPECT_EQ(slots[static_cast<std::size_t>(n)], n);
-  }
-  // Round-robin over a pool size dividing 32 (the serial baseline is one
-  // lane): slot = n mod 32.
-  for (const int streams : {1, 2, 4, 8, 16, 32}) {
-    std::vector<int> slots;
-    kern::lane_owned_slots(policy_lanes(100, streams, true), slots);
-    for (int n = 0; n < 100; ++n) {
-      EXPECT_EQ(slots[static_cast<std::size_t>(n)], n % 32) << streams << " streams";
-    }
-  }
-}
-
-TEST(LaneOwnedSlots, MoreLanesThanSharedSlotsGetOneSlotEach) {
-  const auto lanes = policy_lanes(100, 40, true);
-  std::vector<int> slots;
-  kern::lane_owned_slots(lanes, slots);
-  for (int n = 0; n < 100; ++n) {
-    EXPECT_EQ(slots[static_cast<std::size_t>(n)], lanes[static_cast<std::size_t>(n)].lane);
-  }
 }
 
 }  // namespace

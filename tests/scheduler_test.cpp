@@ -112,19 +112,6 @@ TEST_F(SchedulerTest, MaxStreamsCapsDecision) {
   EXPECT_LE(s.stream_count("big"), 2);
 }
 
-TEST_F(SchedulerTest, StrictReproRoundsToDivisorOf32) {
-  SchedulerOptions opt;
-  opt.strict_repro = true;
-  RuntimeScheduler& s = scheduler(opt);
-  for (int requested : {1, 2, 3, 5, 7, 8, 12, 31, 32, 100}) {
-    const int clamped = s.clamp_streams(requested);
-    EXPECT_EQ(32 % clamped, 0) << requested;
-    EXPECT_LE(clamped, std::max(requested, 1));
-  }
-  EXPECT_EQ(s.clamp_streams(7), 4);
-  EXPECT_EQ(s.clamp_streams(100), 32);
-}
-
 TEST_F(SchedulerTest, ScopesMustNotNest) {
   RuntimeScheduler& s = scheduler();
   s.begin_scope("a", 1);

@@ -9,7 +9,7 @@
 //   --model <name>      built-in model: lenet | cifar10 | siamese |
 //                       caffenet | googlenet
 //   --device <name>     K40C | P100 | TitanXP | Fermi | Maxwell | Volta
-//   --mode <m>          glp4nn (default) | serial | fixed:<N> | strict
+//   --mode <m>          glp4nn (default) | serial | fixed:<N>
 //   --iters <n>         training iterations (default 10)
 //   --lr <f>            base learning rate (default 0.01)
 //   --momentum <f>      SGD momentum (default 0.9)
@@ -94,7 +94,7 @@ int main(int argc, char** argv) {
       .opt("model", &model,
            "built-in model: lenet|cifar10|siamese|caffenet|googlenet")
       .opt("device", &device, "K40C|P100|TitanXP|Fermi|Maxwell|Volta")
-      .opt("mode", &mode, "glp4nn|serial|fixed:N|strict")
+      .opt("mode", &mode, "glp4nn|serial|fixed:N")
       .opt("iters", &iters, "training iterations")
       .opt("lr", &lr, "base learning rate")
       .opt("momentum", &momentum, "SGD momentum")
@@ -201,10 +201,8 @@ int main(int argc, char** argv) {
           dispatchers.push_back(std::make_unique<kern::FixedStreamDispatcher>(
               ctx, std::stoi(mode.substr(6))));
           ec->dispatcher = dispatchers.back().get();
-        } else if (mode == "glp4nn" || mode == "strict") {
-          glp4nn::SchedulerOptions opts;
-          opts.strict_repro = mode == "strict";
-          engines.push_back(std::make_unique<glp4nn::Glp4nnEngine>(opts));
+        } else if (mode == "glp4nn") {
+          engines.push_back(std::make_unique<glp4nn::Glp4nnEngine>());
           ec->dispatcher = &engines.back()->scheduler_for(ctx);
         } else {
           fail(flags, "unknown mode '" + mode + "'");
@@ -284,10 +282,8 @@ int main(int argc, char** argv) {
       fixed = std::make_unique<kern::FixedStreamDispatcher>(
           gpu, std::stoi(mode.substr(6)));
       ec.dispatcher = fixed.get();
-    } else if (mode == "glp4nn" || mode == "strict") {
-      glp4nn::SchedulerOptions opts;
-      opts.strict_repro = mode == "strict";
-      engine = std::make_unique<glp4nn::Glp4nnEngine>(opts);
+    } else if (mode == "glp4nn") {
+      engine = std::make_unique<glp4nn::Glp4nnEngine>();
       ec.dispatcher = &engine->scheduler_for(gpu);
     } else {
       fail(flags, "unknown mode '" + mode + "'");
